@@ -109,8 +109,13 @@ def _cmd_recognize(args) -> int:
 def _load_solution_edges(path: str, graph: DirectedGraph) -> EdgeSet:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    pairs = data["edges"] if isinstance(data, dict) else data
-    return EdgeSet.from_pairs(graph, [(int(u), int(v)) for u, v in pairs])
+    pairs = data.get("edges") if isinstance(data, dict) else data
+    try:
+        edges = [(int(u), int(v)) for u, v in pairs]
+    except (TypeError, ValueError):
+        raise ValueError(f"solution {path}: expected a list of [u, v] vertex pairs, "
+                         "alone or under the key \"edges\"") from None
+    return EdgeSet.from_pairs(graph, edges)
 
 
 def _cmd_check(args) -> int:
@@ -155,8 +160,8 @@ def _cmd_stats(args) -> int:
     graph = _read_graph(args.input)
     max_cap = 0
     for s in range(graph.n):
-        for t in range(graph.n):
-            if s != t:
+        for t in graph.reachable_from(s):
+            if t != s:
                 max_cap = max(max_cap, max_flow_value(graph, s, t))
     bound = None
     if graph.n >= 2:

@@ -169,19 +169,18 @@ def check_all_pairs(graph: DirectedGraph, edge_set, alpha: RetentionRatio) -> Co
     """Coverage report over all ordered pairs, scanned in ascending (s,t) order.
 
     Pairs with s == t or zero capacity in the host graph never appear as
-    violations; the worst ratio is the exact minimum of subgraph/host
-    capacity over pairs with positive host capacity (1 when there are none).
+    violations, and targets unreachable from s are skipped without a flow;
+    the worst ratio is the exact minimum of subgraph/host capacity over
+    pairs with positive host capacity (1 when there are none).
     """
     indices = _indices_of(edge_set)
     first: Optional[Violation] = None
     worst = Fraction(1)
     for s in range(graph.n):
-        for t in range(graph.n):
-            if s == t:
+        for t in sorted(graph.reachable_from(s)):
+            if t == s:
                 continue
             lam = max_flow_value(graph, s, t)
-            if lam == 0:
-                continue
             lam_sub = max_flow_value(graph, s, t, edges=indices)
             ratio = Fraction(lam_sub, lam)
             if ratio < worst:

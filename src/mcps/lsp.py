@@ -1,6 +1,7 @@
 """Laminar series-parallel machinery: path-induced subgraphs, edge EAS
-families and their mu-values, the P1/P2 class checks, MEAS partition,
-edge subdivision, and W-subdivision search.
+families and their mu-values, the P1/P2 class checks, the MEAS partition
+into the independent DSP blocks the LSP solver works on, edge subdivision,
+and W-subdivision search.
 
 Deciding whether a given edge lies on a simple u-v path is NP-hard on
 general digraphs, so the exact path-induced computation enumerates simple
@@ -314,21 +315,26 @@ def meas_partition(graph: DirectedGraph,
                    budget: int = DEFAULT_PATH_BUDGET) -> list[EdgeSet]:
     """The maximal edge EAS sets; on an LSP they partition the edge set.
 
-    Ordered by smallest contained edge index. Raises NotLspError (carrying
-    the verdict) when the precondition fails.
+    These are the independent blocks of the LSP solver: by P1 each one is a
+    DSP whose terminals are the endpoints of one of its edges. Ordered by
+    smallest contained edge index. Raises NotLspError (carrying the verdict)
+    when the precondition fails.
     """
     verdict = is_lsp(graph, budget)
     if not verdict.is_lsp:
         raise NotLspError(verdict)
     fam = eas_family(graph, budget)
-    distinct = set(fam.sets)
-    maximal = [s for s in distinct
-               if not any(s < other for other in distinct)]
-    maximal.sort(key=min)
+    # The family is laminar, so scanning largest first, a set is maximal iff
+    # it shares no edge with a set already kept; otherwise it nests in one.
+    maximal = []
     covered: set[int] = set()
-    for s in maximal:
-        assert covered.isdisjoint(s), "maximal EAS sets overlap on an LSP"
-        covered |= s
+    for s in sorted(set(fam.sets), key=len, reverse=True):
+        if covered.isdisjoint(s):
+            maximal.append(s)
+            covered |= s
+        else:
+            assert s <= covered, "maximal EAS sets overlap on an LSP"
+    maximal.sort(key=min)
     assert covered == set(range(graph.m)), "maximal EAS sets do not cover E"
     return [EdgeSet(s, graph.m) for s in maximal]
 

@@ -1,5 +1,5 @@
 """The exact solvers: the decomposition-tree algorithm for two-terminal
-series-parallel graphs, the mu-ordered greedy algorithm for laminar
+series-parallel graphs, its block-by-block extension to laminar
 series-parallel graphs, the derived MED/MSCS/Hamiltonian solvers, and one
 dispatching entry point that re-validates every answer.
 """
@@ -10,9 +10,9 @@ from typing import Optional
 
 from . import oracle
 from .errors import McpsError, NotDspError, NotLspError
-from .flow import RetentionRatio, check_all_pairs, max_flow_value
-from .graphs import DirectedGraph, EdgeSet
-from .lsp import DEFAULT_PATH_BUDGET, eas_family, is_lsp
+from .flow import RetentionRatio, check_all_pairs
+from .graphs import DirectedGraph, EdgeSet, induced_on_edges
+from .lsp import DEFAULT_PATH_BUDGET, eas_family, is_lsp, meas_partition
 from .solution import Solution
 from .spdecomp import LEAF, PARALLEL, make_clean, recognize_dsp
 
@@ -70,43 +70,25 @@ def _med_size_from_tree(tree) -> int:
     return count
 
 
-def _greedy_by_mu(graph: DirectedGraph, requirement, budget: int):
-    """Core of the LSP algorithm: scan edges by non-descending mu (ties by
-    edge index) and add an edge iff the current selection does not yet cover
-    its endpoint pair. Coverage is evaluated on the selection restricted to
-    the edge's path-induced set, which is exact because flows between the
-    endpoints decompose into simple paths."""
-    fam = eas_family(graph, budget)
-    lam = [max_flow_value(graph, u, v, edges=fam.sets[e])
-           for e, (u, v) in enumerate(graph.edges)]
-    order = sorted(range(graph.m), key=lambda e: (len(fam.sets[e]), e))
-    chosen: set[int] = set()
-    for e in order:
-        u, v = graph.edges[e]
-        need = requirement(lam[e])
-        if need == 0:
-            continue
-        have = max_flow_value(graph, u, v, edges=chosen & fam.sets[e], limit=need)
-        if have < need:
-            chosen.add(e)
-    med_size = sum(1 for s in fam.sets if len(s) == 1)
-    return chosen, med_size
-
-
-def _require_lsp(graph: DirectedGraph, budget: int):
-    verdict = is_lsp(graph, budget)
-    if not verdict.is_lsp:
-        raise NotLspError(verdict)
-
-
 def solve_lsp(graph: DirectedGraph, alpha: RetentionRatio,
               budget: int = DEFAULT_PATH_BUDGET) -> Solution:
     """Optimal solution on a laminar series-parallel graph.
 
+    By P1 each maximal edge EAS set is a DSP whose terminals are the
+    endpoints of an edge, and by P2 these sets partition the edge set
+    (`meas_partition`). Every pair's path-induced subgraph lies inside one
+    block, so the blocks are independent: the optimum is the union of the
+    DSP optima of the blocks, and the MED size is the sum of theirs.
+
     Raises NotLspError (carrying the verdict) on non-LSP input.
     """
-    _require_lsp(graph, budget)
-    chosen, med_size = _greedy_by_mu(graph, alpha.required, budget)
+    chosen: set[int] = set()
+    med_size = 0
+    for block in meas_partition(graph, budget):
+        sub, _ = induced_on_edges(graph, block)
+        sol = solve_dsp(sub, alpha)
+        chosen.update(sub.orig_index[e] for e in sol.edges)
+        med_size += sol.objective - sol.mcps_star
     return Solution(edges=EdgeSet(chosen, graph.m), algorithm="lsp", alpha=alpha,
                     objective=len(chosen), mcps_star=len(chosen) - med_size)
 
@@ -114,14 +96,18 @@ def solve_lsp(graph: DirectedGraph, alpha: RetentionRatio,
 def solve_med(graph: DirectedGraph, budget: int = DEFAULT_PATH_BUDGET) -> Solution:
     """Minimum equivalent digraph of a laminar series-parallel graph.
 
-    This is the retention-ratio problem in the limit where every reachable
-    pair must keep one path, so the requirement is min(capacity, 1) and no
-    ratio is materialized; the result is exactly the edges that are the only
-    simple path between their endpoints.
+    This is the block decomposition of `solve_lsp` in the limit where every
+    reachable pair must keep one path, so the requirement is
+    min(capacity, 1). The DSP fold then drops every edge that has an
+    alternative path, so the result is exactly the edges whose EAS set is a
+    singleton, read off the EAS family without recognizing the blocks.
+
+    Raises NotLspError (carrying the verdict) on non-LSP input.
     """
-    _require_lsp(graph, budget)
-    chosen, med_size = _greedy_by_mu(graph, lambda lam: min(lam, 1), budget)
-    assert len(chosen) == med_size, "MED must equal the unique-path edges"
+    verdict = is_lsp(graph, budget)
+    if not verdict.is_lsp:
+        raise NotLspError(verdict)
+    chosen = [e for e, s in enumerate(eas_family(graph, budget).sets) if len(s) == 1]
     return Solution(edges=EdgeSet(chosen, graph.m), algorithm="med", alpha=None,
                     objective=len(chosen), mcps_star=0)
 

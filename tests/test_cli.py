@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import mcps
 from mcps import parse_edge_list, to_edge_list
 from mcps.cli import main
 from mcps.generators import example_reduction_artifact, fixtures
@@ -69,6 +73,43 @@ def test_check_infeasible_solution_exits_1(capsys, tmp_path, wplus_file):
     assert payload["first_violation"] == {
         "s": 0, "t": 3, "capacity": 3, "subgraph_capacity": 1, "required": 2}
     assert payload["worst_ratio"] == "1/3"
+
+
+@pytest.mark.parametrize("content", [
+    '{"solution": [[0, 1]]}',        # no "edges" key
+    '{"edges": [[0, 1, 2]]}',        # entry with three ids
+    '{"edges": [[0, null]]}',        # non-integer id
+    '{"edges": [0, 1]}',             # bare ids instead of pairs
+    '{"edges": 5}',                  # "edges" is not a list
+    '7',                             # neither an object nor a list
+    '{"edges": [[0, 9]]}',           # pair that is not an edge
+    '{"edges": ',                    # not JSON
+])
+def test_check_malformed_solution_exits_2(capsys, tmp_path, w_file, content):
+    sol = tmp_path / "bad.json"
+    sol.write_text(content)
+    code, out, err = run(capsys, "check", "--input", w_file, "--solution", str(sol),
+                         "--alpha", "1/2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_check_malformed_solution_subprocess_stderr(tmp_path, w_file):
+    sol = tmp_path / "bad.json"
+    sol.write_text('{"solution": []}')
+    src = os.path.dirname(os.path.dirname(mcps.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mcps.cli", "check", "--input", w_file,
+         "--solution", str(sol), "--alpha", "1/2"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: solution ")
 
 
 def test_check_against_oracle_flags_suboptimal(capsys, tmp_path, w_file):

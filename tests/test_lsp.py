@@ -1,11 +1,12 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcps import (BudgetExceededError, DirectedGraph, NotLspError, check_p1,
                   check_p2, eas_family, find_w_subdivision, is_lsp,
                   meas_partition, mu, path_induced, subdivide)
 from mcps import oracle
-from mcps.generators import fixtures, gen_random_dsp
+from mcps.generators import fixtures, gen_random_dsp, gen_random_lsp
 
 from strategies import digraphs, dsp_graphs, lsp_graphs
 
@@ -119,6 +120,31 @@ def test_meas_partition_requires_lsp():
     with pytest.raises(NotLspError) as err:
         meas_partition(fixtures()["W"])
     assert err.value.verdict.p1_witness == (0, 3)
+
+
+def _meas_quadratic(g):
+    """Definition of the MEAS partition: the distinct EAS sets not strictly
+    contained in another one, ordered by smallest edge index."""
+    distinct = set(eas_family(g).sets)
+    return sorted((sorted(s) for s in distinct
+                   if not any(s < other for other in distinct)), key=min)
+
+
+def test_meas_partition_matches_definition_on_fixtures():
+    lsp_fixtures = [g for g in fixtures().values() if is_lsp(g).is_lsp]
+    assert len(lsp_fixtures) >= 10
+    for g in lsp_fixtures:
+        assert [p.sorted() for p in meas_partition(g)] == _meas_quadratic(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 4), st.sampled_from([
+    (0.5, 0.0), (0.0, 0.5), (0.3, 0.3), (1.0, 0.0), (0.0, 1.0)]))
+def test_meas_partition_matches_definition_on_random_lsps(seed, blocks, probs):
+    cyclic_prob, bipartite_prob = probs
+    g = gen_random_lsp(seed, blocks=blocks, block_edges=(2, 8),
+                       cyclic_prob=cyclic_prob, bipartite_prob=bipartite_prob)
+    assert [p.sorted() for p in meas_partition(g)] == _meas_quadratic(g)
 
 
 @settings(max_examples=40, deadline=None)
