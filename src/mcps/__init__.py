@@ -8,17 +8,16 @@ graphs, class recognizers, instance generators, and a CLI front end.
 from .errors import (BudgetExceededError, EdgeListParseError, McpsError,
                      NotDspError, NotLspError)
 from .flow import (CoverageReport, RetentionRatio, Violation, check_all_pairs,
-                   is_covered, max_flow_value, required_capacity, retention_ratio)
+                   is_covered, max_flow_value)
 from .graphs import (DirectedGraph, EdgeSet, induced_on_edges, parse_edge_list,
                      to_dot, to_edge_list)
 from .lsp import (EasFamily, LspVerdict, check_p1, check_p2, eas_family,
-                  find_w_subdivision, is_lsp, meas_partition, mu, path_induced,
+                  find_w_subdivision, is_lsp, meas_partition, path_induced,
                   subdivide)
 from .solution import Solution
 from .solver import (extract_mscs_or_hamiltonian, mcps_star_value, solve,
                      solve_dsp, solve_lsp, solve_med)
-from .spdecomp import (DecompositionTree, NotDspWitness, fold_capacity,
-                       make_clean, recognize_dsp)
+from .spdecomp import DecompositionTree, NotDspWitness, recognize_dsp
 from ._wsearch import WSubdivision
 
 __version__ = "0.1.0"
@@ -26,12 +25,12 @@ __version__ = "0.1.0"
 __all__ = [
     "BudgetExceededError", "EdgeListParseError", "McpsError", "NotDspError",
     "NotLspError", "CoverageReport", "RetentionRatio", "Violation",
-    "check_all_pairs", "is_covered", "max_flow_value", "required_capacity",
-    "retention_ratio", "DirectedGraph", "EdgeSet", "induced_on_edges",
+    "check_all_pairs", "is_covered", "max_flow_value", "DirectedGraph",
+    "EdgeSet", "induced_on_edges",
     "parse_edge_list", "to_dot", "to_edge_list", "EasFamily", "LspVerdict",
     "check_p1", "check_p2", "eas_family", "find_w_subdivision", "is_lsp",
-    "meas_partition", "mu", "path_induced", "subdivide", "Solution",
+    "meas_partition", "path_induced", "subdivide", "Solution",
     "extract_mscs_or_hamiltonian", "mcps_star_value", "solve", "solve_dsp",
     "solve_lsp", "solve_med", "DecompositionTree", "NotDspWitness",
-    "fold_capacity", "make_clean", "recognize_dsp", "WSubdivision",
+    "recognize_dsp", "WSubdivision",
 ]

@@ -20,7 +20,7 @@ from .errors import (BudgetExceededError, EdgeListParseError, McpsError,
 from .flow import RetentionRatio, check_all_pairs, max_flow_value
 from .graphs import DirectedGraph, EdgeSet, parse_edge_list, to_dot, to_edge_list
 from .lsp import LspVerdict, is_lsp
-from .spdecomp import make_clean, recognize_dsp
+from .spdecomp import recognize_dsp
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -34,10 +34,6 @@ def _read_graph(path: str) -> DirectedGraph:
         return parse_edge_list(sys.stdin.read())
     with open(path, "r", encoding="utf-8") as fh:
         return parse_edge_list(fh.read())
-
-
-def _parse_alpha(text: str) -> RetentionRatio:
-    return RetentionRatio.parse(text)
 
 
 def _emit(payload) -> None:
@@ -63,7 +59,7 @@ def _witness_lines(witness) -> list[str]:
 
 def _cmd_solve(args) -> int:
     graph = _read_graph(args.input)
-    alpha = _parse_alpha(args.alpha)
+    alpha = RetentionRatio.parse(args.alpha)
     sol = solver.solve(graph, alpha, mode=args.mode, oracle_budget=args.oracle_budget)
     _emit(sol.to_json_dict(graph))
     if args.dot:
@@ -102,7 +98,7 @@ def _cmd_recognize(args) -> int:
         lines.append("p2_witness: {} {}".format(*verdict.p2_witness))
     sys.stdout.write("\n".join(lines) + "\n")
     if args.tree and tree is not None:
-        sys.stdout.write(make_clean(tree).dump())
+        sys.stdout.write(tree.dump())
     return EXIT_OK
 
 
@@ -115,12 +111,14 @@ def _load_solution_edges(path: str, graph: DirectedGraph) -> EdgeSet:
     except (TypeError, ValueError):
         raise ValueError(f"solution {path}: expected a list of [u, v] vertex pairs, "
                          "alone or under the key \"edges\"") from None
+    if len(set(edges)) != len(edges):
+        raise ValueError(f"solution {path}: lists an edge more than once")
     return EdgeSet.from_pairs(graph, edges)
 
 
 def _cmd_check(args) -> int:
     graph = _read_graph(args.input)
-    alpha = _parse_alpha(args.alpha)
+    alpha = RetentionRatio.parse(args.alpha)
     edge_set = _load_solution_edges(args.solution, graph)
     report = check_all_pairs(graph, edge_set, alpha)
     payload = {
@@ -262,7 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rec = sub.add_parser("recognize", help="classify the input graph")
     p_rec.add_argument("--input", required=True)
     p_rec.add_argument("--tree", action="store_true",
-                       help="also dump the clean decomposition tree for DSPs")
+                       help="also dump the decomposition tree for DSPs")
     p_rec.set_defaults(func=_cmd_recognize)
 
     p_check = sub.add_parser("check", help="verify a solution file")
@@ -322,6 +320,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as err:
         return err.code if isinstance(err.code, int) else EXIT_USAGE
     try:
+        if getattr(args, "oracle_budget", 0) < 0:
+            raise ValueError(f"--oracle-budget must be nonnegative, got {args.oracle_budget}")
         return args.func(args)
     except (EdgeListParseError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)

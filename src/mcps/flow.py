@@ -68,13 +68,6 @@ class RetentionRatio:
         return f"RetentionRatio({self.p}, {self.q})"
 
 
-def required_capacity(alpha: RetentionRatio, capacity: int) -> int:
-    """The integer coverage threshold ceil(alpha * capacity)."""
-    if capacity < 0:
-        raise ValueError("capacity must be nonnegative")
-    return alpha.required(capacity)
-
-
 @dataclass(frozen=True)
 class Violation:
     s: int
@@ -159,7 +152,7 @@ def is_covered(graph: DirectedGraph, edge_set, s: int, t: int,
     """True iff the subgraph keeps at least ceil(alpha * capacity) flow for (s,t)."""
     if s == t:
         return True
-    need = required_capacity(alpha, max_flow_value(graph, s, t))
+    need = alpha.required(max_flow_value(graph, s, t))
     if need == 0:
         return True
     return max_flow_value(graph, s, t, edges=_indices_of(edge_set), limit=need) >= need
@@ -185,7 +178,7 @@ def check_all_pairs(graph: DirectedGraph, edge_set, alpha: RetentionRatio) -> Co
             ratio = Fraction(lam_sub, lam)
             if ratio < worst:
                 worst = ratio
-            need = required_capacity(alpha, lam)
+            need = alpha.required(lam)
             if lam_sub < need and first is None:
                 first = Violation(s, t, lam, lam_sub, need)
     return CoverageReport(feasible=first is None, first_violation=first, worst_ratio=worst)
@@ -218,24 +211,8 @@ def pair_requirements(graph: DirectedGraph, alpha: Optional[RetentionRatio],
                 rows.append((s, t, 1))
                 continue
             lam = max_flow_value(graph, s, t)
-            need = required_capacity(alpha, lam)
+            need = alpha.required(lam)
             if need > 0:
                 rows.append((s, t, need))
     return rows
 
-
-def retention_ratio(graph: DirectedGraph, edge_set) -> Fraction:
-    """min over pairs with positive capacity of subgraph/host capacity."""
-    indices = _indices_of(edge_set)
-    worst = Fraction(1)
-    for s in range(graph.n):
-        for t in range(graph.n):
-            if s == t:
-                continue
-            lam = max_flow_value(graph, s, t)
-            if lam == 0:
-                continue
-            ratio = Fraction(max_flow_value(graph, s, t, edges=indices), lam)
-            if ratio < worst:
-                worst = ratio
-    return worst

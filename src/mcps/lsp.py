@@ -169,12 +169,6 @@ def path_induced(graph: DirectedGraph, u: int, v: int,
     return frozenset(_iter_bits(from_mask[u] & to_mask[v]))
 
 
-def mu(graph: DirectedGraph, edge_index: int, budget: int = DEFAULT_PATH_BUDGET) -> int:
-    """Number of edges on simple paths between the edge's endpoints (>= 1)."""
-    u, v = graph.edges[edge_index]
-    return len(path_induced(graph, u, v, budget))
-
-
 @dataclass(frozen=True)
 class EasFamily:
     """Per-edge path-induced edge sets and their sizes."""
@@ -257,6 +251,10 @@ def check_p1(graph: DirectedGraph,
     On DAGs only source x sink pairs need recognition: every nonempty
     P(s, t) embeds in some P(source, sink) there, and pair subgraphs of a
     DSP are again DSPs, so those recognitions decide all pairs at once.
+    A failing DAG is then rescanned pair by pair for the id-order witness,
+    but only up to n = _CANONICAL_RESCAN_LIMIT; above it the witness is the
+    first failing source x sink pair (sources, then sinks, in id order),
+    which need not be the first failing pair in id order.
     """
     masks = _closure_edge_masks(graph)
     if masks is not None:

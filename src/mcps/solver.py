@@ -14,21 +14,22 @@ from .flow import RetentionRatio, check_all_pairs
 from .graphs import DirectedGraph, EdgeSet, induced_on_edges
 from .lsp import DEFAULT_PATH_BUDGET, eas_family, is_lsp, meas_partition
 from .solution import Solution
-from .spdecomp import LEAF, PARALLEL, make_clean, recognize_dsp
+from .spdecomp import LEAF, PARALLEL, recognize_dsp
 
 
 def solve_dsp(graph: DirectedGraph, alpha: RetentionRatio) -> Solution:
     """Optimal solution on a two-terminal series-parallel digraph.
 
-    Start from the full edge set, walk the clean decomposition tree bottom-up
-    and drop the terminal edge at a P node whenever the rest of that node's
-    subgraph already provides the required capacity. Tree-local capacities
-    are sound because at a clean P node with a terminal-edge child, the
-    node's subgraph is exactly the path-induced subgraph of its terminals.
+    Start from the full edge set, walk the decomposition tree bottom-up and,
+    at each P node whose first child is the leaf of its terminal edge, drop
+    that edge whenever the other children already provide the required
+    capacity. Tree-local capacities are sound because at a P node with a
+    terminal-edge child, the node's subgraph is exactly the path-induced
+    subgraph of its terminals.
 
     Raises NotDspError (carrying the witness) on non-DSP input.
     """
-    tree = make_clean(recognize_dsp(graph))
+    tree = recognize_dsp(graph)
     nodes = tree.nodes
     selected = set(range(graph.m))
     cap_cur = [0] * len(nodes)
@@ -37,22 +38,16 @@ def solve_dsp(graph: DirectedGraph, alpha: RetentionRatio) -> Solution:
         if nd.kind == LEAF:
             cap_cur[i] = 1
         elif nd.kind == PARALLEL:
-            left, right = nd.left, nd.right
-            if nodes[left].kind == LEAF:
-                leaf, other = left, right
-            elif nodes[right].kind == LEAF:
-                leaf, other = right, left
+            first, *rest = nd.children
+            cap = sum([cap_cur[c] for c in rest])
+            if nodes[first].kind == LEAF and cap >= alpha.required(tree.cap_full[i]):
+                selected.discard(nodes[first].edge)
             else:
-                cap_cur[i] = cap_cur[left] + cap_cur[right]
-                continue
-            need = alpha.required(tree.cap_full[i])
-            if cap_cur[other] >= need:
-                selected.discard(nodes[leaf].edge)
-                cap_cur[i] = cap_cur[other]
-            else:
-                cap_cur[i] = cap_cur[other] + cap_cur[leaf]
+                cap += cap_cur[first]
+            cap_cur[i] = cap
         else:
-            cap_cur[i] = min(cap_cur[nd.left], cap_cur[nd.right])
+            a, b = nd.children
+            cap_cur[i] = min(cap_cur[a], cap_cur[b])
     med_size = _med_size_from_tree(tree)
     return Solution(edges=EdgeSet(selected, graph.m), algorithm="dsp", alpha=alpha,
                     objective=len(selected), mcps_star=len(selected) - med_size)
@@ -60,7 +55,7 @@ def solve_dsp(graph: DirectedGraph, alpha: RetentionRatio) -> Solution:
 
 def _med_size_from_tree(tree) -> int:
     # An edge of a DSP has an alternative path between its endpoints exactly
-    # when its leaf is the terminal-edge child of a P node (clean tree).
+    # when its leaf is the terminal-edge child of a P node.
     count = 0
     for edge in range(tree.graph.m):
         leaf = tree.leaf_of_edge[edge]

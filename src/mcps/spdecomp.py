@@ -1,11 +1,14 @@
-"""Two-terminal series-parallel recognition, decomposition trees, clean-tree
-transform and capacity folding.
+"""Two-terminal series-parallel recognition, decomposition trees and
+capacity folding.
 
 Recognition works by exhaustive series/parallel reduction on an internal
 multigraph workspace: inner vertices with in-degree = out-degree = 1 are
 contracted (series), parallel edges are merged on creation (parallel), each
-step recording a tree node. The reduction system is confluent on acyclic
-single-source single-sink graphs, so getting stuck proves the graph is not
+step recording a tree node. Parallel nodes are n-ary, as in Valdes, Tarjan
+and Lawler's recognition: a merge into a pair that already has a P node
+appends to it, so a terminal edge of a parallel composition is a leaf child
+of its P node. The reduction system is confluent on acyclic single-source
+single-sink graphs, so getting stuck proves the graph is not
 series-parallel; the stuck core is then handed to the W-subdivision search
 for a best-effort witness.
 """
@@ -28,18 +31,16 @@ _KIND_NAMES = {LEAF: "leaf", SERIES: "series", PARALLEL: "parallel"}
 
 
 class _Node:
-    __slots__ = ("kind", "left", "right", "edge", "s", "t")
+    # children: () for a leaf, (first, second) in path order for an S node,
+    # and a list for a P node, since later parallel merges append to it
+    __slots__ = ("kind", "children", "edge", "s", "t")
 
-    def __init__(self, kind, left, right, edge, s, t):
+    def __init__(self, kind, children, edge, s, t):
         self.kind = kind
-        self.left = left
-        self.right = right
+        self.children = children
         self.edge = edge
         self.s = s
         self.t = t
-
-    def copy(self):
-        return _Node(self.kind, self.left, self.right, self.edge, self.s, self.t)
 
 
 @dataclass
@@ -58,11 +59,14 @@ class NotDspWitness:
 
 
 class DecompositionTree:
-    """Binary S/P-composition tree of a two-terminal DSP.
+    """S/P-composition tree of a two-terminal DSP.
 
-    Leaves biject with the host graph's edges. Every node carries its
-    terminal pair; `cap_full[i]` is the max-flow value of node i's subgraph
-    between its terminals (leaf 1, series min, parallel sum).
+    Leaves biject with the host graph's edges. S nodes have two children, in
+    path order; P nodes have two or more, none of them a P node, and the
+    only leaf a P node can have is `children[0]`: the edge joining its
+    terminals. Every node carries its terminal pair; `cap_full[i]` is the
+    max-flow value of node i's subgraph between its terminals (leaf 1,
+    series min, parallel sum).
     """
 
     def __init__(self, graph: DirectedGraph, nodes: list[_Node], root: int):
@@ -71,9 +75,8 @@ class DecompositionTree:
         self.root = root
         self.parent = [-1] * len(nodes)
         for i, nd in enumerate(nodes):
-            if nd.kind != LEAF:
-                self.parent[nd.left] = i
-                self.parent[nd.right] = i
+            for c in nd.children:
+                self.parent[c] = i
         self.postorder = self._compute_postorder()
         self.leaf_of_edge: dict[int, int] = {
             nd.edge: i for i, nd in enumerate(nodes) if nd.kind == LEAF
@@ -81,18 +84,15 @@ class DecompositionTree:
         self.cap_full = self.fold(range(graph.m))
 
     def _compute_postorder(self) -> list[int]:
+        # a preorder that visits children last to first, reversed, is the
+        # postorder that visits them first to last
         order = []
-        stack: list[tuple[int, bool]] = [(self.root, False)]
+        stack = [self.root]
         while stack:
-            i, expanded = stack.pop()
-            if expanded:
-                order.append(i)
-                continue
-            stack.append((i, True))
-            nd = self.nodes[i]
-            if nd.kind != LEAF:
-                stack.append((nd.right, False))
-                stack.append((nd.left, False))
+            i = stack.pop()
+            order.append(i)
+            stack.extend(self.nodes[i].children)
+        order.reverse()
         return order
 
     def fold(self, selected: "EdgeSet | Iterable[int]") -> list[int]:
@@ -111,26 +111,15 @@ class DecompositionTree:
             if nd.kind == LEAF:
                 cap[i] = 1 if nd.edge in chosen else 0
             elif nd.kind == SERIES:
-                cap[i] = min(cap[nd.left], cap[nd.right])
+                a, b = nd.children
+                cap[i] = min(cap[a], cap[b])
             else:
-                cap[i] = cap[nd.left] + cap[nd.right]
+                cap[i] = sum([cap[c] for c in nd.children])
         return cap
 
     def terminals(self) -> tuple[int, int]:
         root = self.nodes[self.root]
         return (root.s, root.t)
-
-    def is_clean(self) -> bool:
-        """No leaf hangs below a P node that has a P parent."""
-        for i, nd in enumerate(self.nodes):
-            if nd.kind != LEAF:
-                continue
-            p = self.parent[i]
-            if p != -1 and self.nodes[p].kind == PARALLEL:
-                pp = self.parent[p]
-                if pp != -1 and self.nodes[pp].kind == PARALLEL:
-                    return False
-        return True
 
     def validate(self) -> None:
         """Check structural invariants; raises AssertionError on violation."""
@@ -142,13 +131,19 @@ class DecompositionTree:
                 assert (nd.s, nd.t) == (u, v), f"leaf {i} terminals mismatch"
                 seen_edges.append(nd.edge)
             elif nd.kind == SERIES:
-                l, r = self.nodes[nd.left], self.nodes[nd.right]
+                assert len(nd.children) == 2, f"series node {i} is not binary"
+                l, r = (self.nodes[c] for c in nd.children)
                 assert l.s == nd.s and r.t == nd.t and l.t == r.s, \
                     f"series node {i} terminal chain broken"
             else:
-                l, r = self.nodes[nd.left], self.nodes[nd.right]
-                assert (l.s, l.t) == (r.s, r.t) == (nd.s, nd.t), \
-                    f"parallel node {i} terminals mismatch"
+                assert len(nd.children) >= 2, f"parallel node {i} has one child"
+                for k, c in enumerate(nd.children):
+                    ch = self.nodes[c]
+                    assert (ch.s, ch.t) == (nd.s, nd.t), \
+                        f"parallel node {i} terminals mismatch"
+                    assert ch.kind != PARALLEL, f"parallel node {i} has a P child"
+                    assert ch.kind != LEAF or k == 0, \
+                        f"parallel node {i} has a leaf after its first child"
         assert sorted(seen_edges) == list(range(self.graph.m)), \
             "leaves do not biject with graph edges"
 
@@ -164,8 +159,8 @@ class DecompositionTree:
                 lines.append(f"{pad}leaf e{nd.edge} ({nd.s},{nd.t}) cap={self.cap_full[i]}")
             else:
                 lines.append(f"{pad}{_KIND_NAMES[nd.kind]} ({nd.s},{nd.t}) cap={self.cap_full[i]}")
-                stack.append((nd.right, depth + 1))
-                stack.append((nd.left, depth + 1))
+                for c in reversed(nd.children):
+                    stack.append((c, depth + 1))
         return "\n".join(lines) + "\n"
 
 
@@ -174,8 +169,8 @@ def recognize_dsp(graph: DirectedGraph,
     """Decompose a two-terminal series-parallel digraph, or raise NotDspError.
 
     Contraction picks the lowest eligible vertex id first and parallel merges
-    fold the newer edge into the older one, so the resulting tree (and every
-    downstream solver decision) is deterministic.
+    append the newer route after the older ones, so the resulting tree (and
+    every downstream solver decision) is deterministic.
     """
     if graph.m == 0:
         raise ValueError("series-parallel recognition needs at least one edge")
@@ -197,7 +192,7 @@ def recognize_dsp(graph: DirectedGraph,
     for i, (u, v) in enumerate(graph.edges):
         out[u][v] = i
         inn[v][u] = i
-        nodes.append(_Node(LEAF, -1, -1, i, u, v))
+        nodes.append(_Node(LEAF, (), i, u, v))
         node_of[i] = i
     next_eid = graph.m
 
@@ -214,12 +209,16 @@ def recognize_dsp(graph: DirectedGraph,
         del inn[y][v]
         inn[v].clear()
         out[v].clear()
-        nodes.append(_Node(SERIES, node_of[e_in], node_of[e_out], -1, x, y))
+        nodes.append(_Node(SERIES, (node_of[e_in], node_of[e_out]), -1, x, y))
         new_idx = len(nodes) - 1
         if y in out[x]:
             old = out[x][y]
-            nodes.append(_Node(PARALLEL, node_of[old], new_idx, -1, x, y))
-            node_of[old] = len(nodes) - 1
+            merged = nodes[node_of[old]]
+            if merged.kind == PARALLEL:
+                merged.children.append(new_idx)
+            else:
+                nodes.append(_Node(PARALLEL, [node_of[old], new_idx], -1, x, y))
+                node_of[old] = len(nodes) - 1
             for w in (x, y):
                 if w != s and w != t and len(out[w]) == 1 and len(inn[w]) == 1:
                     heapq.heappush(heap, w)
@@ -253,20 +252,22 @@ def _rep_paths(nodes: list[_Node], roots: Iterable[int]) -> dict[int, tuple[int,
                 memo[i] = (nd.s, nd.t)
                 stack.pop()
             elif nd.kind == PARALLEL:
-                if nd.left in memo:
-                    memo[i] = memo[nd.left]
+                first = nd.children[0]
+                if first in memo:
+                    memo[i] = memo[first]
                     stack.pop()
                 else:
-                    stack.append(nd.left)
+                    stack.append(first)
             else:
-                if nd.left in memo and nd.right in memo:
-                    memo[i] = memo[nd.left] + memo[nd.right][1:]
+                left, right = nd.children
+                if left in memo and right in memo:
+                    memo[i] = memo[left] + memo[right][1:]
                     stack.pop()
                 else:
-                    if nd.right not in memo:
-                        stack.append(nd.right)
-                    if nd.left not in memo:
-                        stack.append(nd.left)
+                    if right not in memo:
+                        stack.append(right)
+                    if left not in memo:
+                        stack.append(left)
     return memo
 
 
@@ -295,41 +296,7 @@ def _extract_core_witness(graph, remaining, nodes, node_of, budget):
 
 
 def make_clean(tree: DecompositionTree) -> DecompositionTree:
-    """Rebuild the tree so every terminal edge of a P-chain is composed last.
-
-    Bottom-up leaf ascent: a leaf under a P node climbs while its ancestors
-    stay P nodes and is swapped with the non-ascent child of the topmost one.
-    The leaf multiset and the represented graph are unchanged.
-    """
-    nodes = [nd.copy() for nd in tree.nodes]
-    parent = list(tree.parent)
-    for edge in range(tree.graph.m):
-        leaf = tree.leaf_of_edge[edge]
-        p = parent[leaf]
-        if p == -1 or nodes[p].kind != PARALLEL:
-            continue
-        top = p
-        while parent[top] != -1 and nodes[parent[top]].kind == PARALLEL:
-            top = parent[top]
-        if top == p:
-            continue
-        below = p
-        while parent[below] != top:
-            below = parent[below]
-        gamma = nodes[top].right if nodes[top].left == below else nodes[top].left
-        if nodes[top].left == gamma:
-            nodes[top].left = leaf
-        else:
-            nodes[top].right = leaf
-        if nodes[p].left == leaf:
-            nodes[p].left = gamma
-        else:
-            nodes[p].right = gamma
-        parent[leaf] = top
-        parent[gamma] = p
-    return DecompositionTree(tree.graph, nodes, tree.root)
-
-
-def fold_capacity(tree: DecompositionTree, selected: "EdgeSet | Iterable[int]") -> list[int]:
-    """Capacity annotation of the tree under a leaf selection (see fold)."""
-    return tree.fold(selected)
+    """Identity: `recognize_dsp` already puts each terminal edge directly under
+    its P node. Kept only because the benchmark tracer (perfbench/tracing.py)
+    looks this name up; remove it together with that entry."""
+    return tree

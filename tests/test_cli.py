@@ -84,6 +84,7 @@ def test_check_infeasible_solution_exits_1(capsys, tmp_path, wplus_file):
     '7',                             # neither an object nor a list
     '{"edges": [[0, 9]]}',           # pair that is not an edge
     '{"edges": ',                    # not JSON
+    '{"edges": [[0, 1], [0, 1], [0, 2], [1, 3], [2, 3]]}',  # duplicate pair
 ])
 def test_check_malformed_solution_exits_2(capsys, tmp_path, w_file, content):
     sol = tmp_path / "bad.json"
@@ -94,6 +95,25 @@ def test_check_malformed_solution_exits_2(capsys, tmp_path, w_file, content):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--mode", "oracle"],
+    ["solve"],                                   # auto mode, DSP input
+    ["check"],
+    ["check", "--against-oracle"],
+], ids=["solve-oracle", "solve-auto", "check", "check-against-oracle"])
+def test_negative_oracle_budget_exits_2(capsys, tmp_path, argv):
+    graph = tmp_path / "d.el"
+    graph.write_text(to_edge_list(fixtures()["diamond"]))
+    sol = tmp_path / "full.json"
+    sol.write_text(json.dumps({"edges": [[0, 1], [0, 2], [1, 3], [2, 3]]}))
+    extra = ["--solution", str(sol)] if argv[0] == "check" else []
+    code, out, err = run(capsys, *argv, "--input", str(graph), "--alpha", "1/2",
+                         "--oracle-budget", "-5", *extra)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --oracle-budget must be nonnegative, got -5\n"
 
 
 def test_check_malformed_solution_subprocess_stderr(tmp_path, w_file):

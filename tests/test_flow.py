@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from mcps import (DirectedGraph, EdgeSet, RetentionRatio, check_all_pairs,
-                  is_covered, max_flow_value, required_capacity, retention_ratio)
+                  is_covered, max_flow_value)
 from mcps.generators import fixtures
 
 from strategies import digraphs
@@ -28,15 +28,15 @@ def test_ratio_parse():
 
 
 def test_required_capacity_examples():
-    assert required_capacity(RetentionRatio(1, 2), 7) == 4
-    assert required_capacity(RetentionRatio(1, 2), 0) == 0
-    assert required_capacity(RetentionRatio(2, 3), 3) == 2
+    assert RetentionRatio(1, 2).required(7) == 4
+    assert RetentionRatio(1, 2).required(0) == 0
+    assert RetentionRatio(2, 3).required(3) == 2
 
 
 @pytest.mark.parametrize("lam", range(0, 30))
 @pytest.mark.parametrize("p,q", [(1, 3), (1, 2), (2, 3), (3, 4), (7, 8)])
 def test_required_capacity_bounds(p, q, lam):
-    need = required_capacity(RetentionRatio(p, q), lam)
+    need = RetentionRatio(p, q).required(lam)
     assert need <= lam
     if lam >= 1:
         assert need >= 1
@@ -91,6 +91,10 @@ def test_check_all_pairs_bidirected_star():
 
 
 def test_retention_ratio_values():
+    def retention_ratio(g, edge_set):
+        # the worst ratio does not depend on the alpha the check is run at
+        return check_all_pairs(g, edge_set, RetentionRatio(1, 2)).worst_ratio
+
     fx = fixtures()
     c4 = fx["C4"]
     assert retention_ratio(c4, EdgeSet.full(c4)) == Fraction(1)

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from mcps import (BudgetExceededError, DirectedGraph, NotLspError, check_p1,
                   check_p2, eas_family, find_w_subdivision, is_lsp,
-                  meas_partition, mu, path_induced, subdivide)
+                  meas_partition, path_induced, subdivide)
 from mcps import oracle
 from mcps.generators import fixtures, gen_random_dsp, gen_random_lsp
 
@@ -36,12 +36,12 @@ def test_path_induced_budget_is_a_hard_error():
 
 def test_mu_values():
     c4 = fixtures()["C4"]
-    assert all(mu(c4, e) == 1 for e in range(4))
-    assert mu(DAG3, 2) == 3
+    assert all(eas_family(c4).mu(e) == 1 for e in range(4))
+    assert eas_family(DAG3).mu(2) == 3
     # the terminal edge s->t of the w_plus fixture is its endpoints' only simple path
     wp = fixtures()["w_plus"]
-    assert mu(wp, 2) == 1
-    assert mu(wp, 2) == len(oracle.enumerate_simple_path_edges(wp, 1, 2))
+    assert eas_family(wp).mu(2) == 1
+    assert eas_family(wp).mu(2) == len(oracle.enumerate_simple_path_edges(wp, 1, 2))
 
 
 @settings(max_examples=100, deadline=None)
@@ -222,7 +222,7 @@ def test_med_edges_have_mu_one_on_dags():
     for g in (DAG3, fixtures()["reduction_example"], fixtures()["diamond"]):
         if g.m <= 16:
             med = oracle.brute_force_med(g)
-            assert all(mu(g, e) == 1 for e in med)
+            assert all(eas_family(g).mu(e) == 1 for e in med)
 
 
 def test_dag_reachability_product_rule():

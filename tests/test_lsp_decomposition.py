@@ -1,8 +1,9 @@
-"""Differential test of the block-decomposition LSP solvers against the
-mu-ordered greedy they replaced, kept here as a flow-based reference."""
+"""Differential tests of the decomposition-tree solvers against the
+mu-ordered greedy that solve_lsp replaced, kept here as a flow-based
+reference that shares no code with the tree."""
 
-from mcps import eas_family, max_flow_value, solve_lsp, solve_med
-from mcps.generators import gen_random_lsp
+from mcps import eas_family, max_flow_value, solve_dsp, solve_lsp, solve_med
+from mcps.generators import gen_random_dsp, gen_random_lsp
 
 from test_acceptance import ALPHAS, _lsp_suite
 
@@ -59,3 +60,14 @@ def test_solve_lsp_and_solve_med_match_reference_greedy():
         med = solve_med(g)
         assert med.edges.indices == frozenset(chosen), g.meta
         assert med.objective == med_size and med.mcps_star == 0, g.meta
+
+
+def test_solve_dsp_matches_reference_greedy():
+    for seed in range(150):
+        for m in (6, 15, 40, 90):
+            g = gen_random_dsp(seed, m)
+            for alpha in ALPHAS:
+                chosen, med_size = _reference_greedy_by_mu(g, alpha.required)
+                sol = solve_dsp(g, alpha)
+                assert sol.edges.indices == frozenset(chosen), (seed, m, str(alpha))
+                assert sol.mcps_star == len(chosen) - med_size, (seed, m, str(alpha))

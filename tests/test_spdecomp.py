@@ -1,8 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
-from mcps import (DirectedGraph, NotDspError, max_flow_value, make_clean,
-                  recognize_dsp)
+from mcps import DirectedGraph, NotDspError, max_flow_value, recognize_dsp
 from mcps.generators import fixtures, gen_random_dsp
 from mcps.spdecomp import LEAF, PARALLEL, SERIES, DecompositionTree, _Node
 
@@ -48,8 +47,7 @@ def test_diamond_tree_shape():
     tree = recognize_dsp(fixtures()["diamond"])
     root = tree.nodes[tree.root]
     assert root.kind == PARALLEL
-    assert tree.nodes[root.left].kind == SERIES
-    assert tree.nodes[root.right].kind == SERIES
+    assert [tree.nodes[c].kind for c in root.children] == [SERIES, SERIES]
     assert tree.cap_full[tree.root] == 2
     tree.validate()
 
@@ -72,44 +70,37 @@ def _parallel_routes_graph():
     return DirectedGraph(4, [(0, 2), (2, 1), (0, 3), (3, 1), (0, 1)])
 
 
+def test_recognition_puts_terminal_leaf_first():
+    # the two routes and the terminal edge 0->1 form one flat P node
+    g = _parallel_routes_graph()
+    tree = recognize_dsp(g)
+    tree.validate()
+    root = tree.nodes[tree.root]
+    assert root.kind == PARALLEL and len(root.children) == 3
+    assert root.children[0] == tree.leaf_of_edge[4]
+    assert [tree.nodes[c].kind for c in root.children[1:]] == [SERIES, SERIES]
+    assert tree.cap_full[tree.root] == 3
+
+
 def _leaf(edge, g):
     u, v = g.edges[edge]
-    return _Node(LEAF, -1, -1, edge, u, v)
+    return _Node(LEAF, (), edge, u, v)
 
 
-def test_make_clean_moves_nested_terminal_leaf():
+@pytest.mark.parametrize("p_nodes", [
+    [_Node(PARALLEL, [4, 5], -1, 0, 1), _Node(PARALLEL, [7, 6], -1, 0, 1)],  # P child
+    [_Node(PARALLEL, [5, 4, 6], -1, 0, 1)],                                  # late leaf
+], ids=["p-child", "late-leaf"])
+def test_validate_rejects_unflattened_parallel_nodes(p_nodes):
     g = _parallel_routes_graph()
-    # Build P(P(leaf st, route A), route B): the leaf is buried one P deep.
-    nodes = [
-        _leaf(0, g), _leaf(1, g), _leaf(2, g), _leaf(3, g), _leaf(4, g),
-        _Node(SERIES, 0, 1, -1, 0, 1),    # 5: route A
-        _Node(SERIES, 2, 3, -1, 0, 1),    # 6: route B
-        _Node(PARALLEL, 4, 5, -1, 0, 1),  # 7: P(leaf, A)
-        _Node(PARALLEL, 7, 6, -1, 0, 1),  # 8: root
-    ]
-    tree = DecompositionTree(g, nodes, 8)
-    tree.validate()
-    assert not tree.is_clean()
-    clean = make_clean(tree)
-    clean.validate()
-    assert clean.is_clean()
-    root = clean.nodes[clean.root]
-    leaf_idx = clean.leaf_of_edge[4]
-    assert leaf_idx in (root.left, root.right)
-    assert clean.cap_full[clean.root] == tree.cap_full[tree.root] == 3
-    assert sorted(nd.edge for nd in clean.nodes if nd.kind == LEAF) == list(range(5))
-
-
-def test_make_clean_is_fixpoint_on_clean_trees():
-    tree = make_clean(recognize_dsp(_parallel_routes_graph()))
-    again = make_clean(tree)
-    assert tree.dump() == again.dump()
-
-
-def test_make_clean_no_parallel_nodes_untouched():
-    path = DirectedGraph(4, [(0, 1), (1, 2), (2, 3)])
-    tree = recognize_dsp(path)
-    assert make_clean(tree).dump() == tree.dump()
+    nodes = [_leaf(e, g) for e in range(5)] + [
+        _Node(SERIES, (0, 1), -1, 0, 1),  # 5: route A
+        _Node(SERIES, (2, 3), -1, 0, 1),  # 6: route B
+    ] + p_nodes
+    tree = DecompositionTree(g, nodes, len(nodes) - 1)
+    assert tree.cap_full[tree.root] == 3
+    with pytest.raises(AssertionError):
+        tree.validate()
 
 
 @settings(max_examples=40, deadline=None)
@@ -126,18 +117,20 @@ def test_cap_full_matches_flow_at_every_node(g):
 @settings(max_examples=40, deadline=None)
 @given(dsp_graphs(max_edges=14))
 def test_clean_tree_terminal_edge_invariant(g):
-    clean = make_clean(recognize_dsp(g))
-    clean.validate()
-    assert clean.is_clean()
-    leaf_sets = _leaf_sets(clean)
-    for i, nd in enumerate(clean.nodes):
+    # recognition yields a clean tree: no P node has a P child, and a P
+    # node's terminal edge, when inside its subtree, is its first child
+    tree = recognize_dsp(g)
+    tree.validate()
+    leaf_sets = _leaf_sets(tree)
+    for i, nd in enumerate(tree.nodes):
         if nd.kind != PARALLEL:
             continue
+        assert all(tree.nodes[c].kind != PARALLEL for c in nd.children)
         terminal_edge = g.edge_index(nd.s, nd.t)
         if terminal_edge is None or terminal_edge not in leaf_sets[i]:
             continue
-        children = (clean.nodes[nd.left], clean.nodes[nd.right])
-        assert any(c.kind == LEAF and c.edge == terminal_edge for c in children)
+        first = tree.nodes[nd.children[0]]
+        assert first.kind == LEAF and first.edge == terminal_edge
 
 
 def _leaf_sets(tree):
@@ -147,7 +140,7 @@ def _leaf_sets(tree):
         if nd.kind == LEAF:
             sets[i] = {nd.edge}
         else:
-            sets[i] = sets[nd.left] | sets[nd.right]
+            sets[i] = set().union(*(sets[c] for c in nd.children))
     return sets
 
 
@@ -170,24 +163,21 @@ def test_cap_full_matches_flow_on_larger_dsps(seed, target):
 @given(dsp_graphs(max_edges=14))
 def test_folded_capacity_equals_flow_of_selection(g):
     import random as _random
-    from mcps import fold_capacity
     tree = recognize_dsp(g)
     root = tree.nodes[tree.root]
     rng = _random.Random(g.m)
     for _ in range(3):
         sel = [e for e in range(g.m) if rng.random() < 0.6]
-        assert fold_capacity(tree, sel)[tree.root] == \
+        assert tree.fold(sel)[tree.root] == \
             max_flow_value(g, root.s, root.t, edges=sel)
 
 
 @settings(max_examples=40, deadline=None)
 @given(dsp_graphs(max_edges=14))
 def test_terminal_pair_capacity_is_tree_local(g):
-    # at every clean P node with a terminal-edge child, all paths between the
+    # at every P node with a terminal-edge child, all paths between the
     # terminals stay inside the subtree, so the folded capacity is global
-    clean = make_clean(recognize_dsp(g))
-    for i, nd in enumerate(clean.nodes):
-        if nd.kind != PARALLEL:
-            continue
-        if LEAF in (clean.nodes[nd.left].kind, clean.nodes[nd.right].kind):
-            assert clean.cap_full[i] == max_flow_value(g, nd.s, nd.t)
+    tree = recognize_dsp(g)
+    for i, nd in enumerate(tree.nodes):
+        if nd.kind == PARALLEL and tree.nodes[nd.children[0]].kind == LEAF:
+            assert tree.cap_full[i] == max_flow_value(g, nd.s, nd.t)
