@@ -106,11 +106,13 @@ def _load_solution_edges(path: str, graph: DirectedGraph) -> EdgeSet:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     pairs = data.get("edges") if isinstance(data, dict) else data
-    try:
-        edges = [(int(u), int(v)) for u, v in pairs]
-    except (TypeError, ValueError):
-        raise ValueError(f"solution {path}: expected a list of [u, v] vertex pairs, "
-                         "alone or under the key \"edges\"") from None
+    # JSON integers only: int() would read 1.9, true and "0" as vertex ids
+    if not (isinstance(pairs, list) and all(
+            isinstance(p, list) and len(p) == 2 and all(type(x) is int for x in p)
+            for p in pairs)):
+        raise ValueError(f"solution {path}: expected a list of [u, v] integer vertex "
+                         "pairs, alone or under the key \"edges\"")
+    edges = [(u, v) for u, v in pairs]
     if len(set(edges)) != len(edges):
         raise ValueError(f"solution {path}: lists an edge more than once")
     return EdgeSet.from_pairs(graph, edges)

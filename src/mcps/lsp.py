@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import _wsearch
-from .errors import BudgetExceededError, NotDspError, NotLspError
-from .graphs import DirectedGraph, EdgeSet, induced_on_edges
-from .spdecomp import recognize_dsp
+from .errors import BudgetExceededError, NotLspError
+from .graphs import DirectedGraph, EdgeSet
+from .spdecomp import _reduce
 
 DEFAULT_PATH_BUDGET = 2_000_000
 
@@ -234,19 +234,22 @@ def check_p2(graph: DirectedGraph,
 
 
 def _is_dsp_with_terminals(graph: DirectedGraph, edge_indices, s: int, t: int) -> bool:
-    sub, verts = induced_on_edges(graph, edge_indices)
-    try:
-        tree = recognize_dsp(sub)
-    except NotDspError:
-        return False
-    rs, rt = tree.terminals()
-    return verts[rs] == s and verts[rt] == t
+    # Each edge of P(s, t) lies on a simple s-t path, so s is the subgraph's
+    # only source and t its only sink, cyclic or not; the reduction alone
+    # then decides it (a cyclic subgraph never reduces to one route).
+    edges = graph.edges
+    _, remaining = _reduce(((i, *edges[i]) for i in edge_indices), s, t)
+    return len(remaining) == 1 and remaining[0][:2] == (s, t)
 
 
 def check_p1(graph: DirectedGraph,
              budget: int = DEFAULT_PATH_BUDGET) -> tuple[bool, Optional[tuple[int, int]]]:
     """Every pair's path-induced subgraph is a DSP with those terminals or
     empty; witness is the first failing (s, t) in id order.
+
+    Each pair subgraph is decided by one in-place series-parallel reduction
+    on the host's vertex ids (`spdecomp._reduce`), with no subgraph, cycle
+    search or decomposition tree built for it.
 
     On DAGs only source x sink pairs need recognition: every nonempty
     P(s, t) embeds in some P(source, sink) there, and pair subgraphs of a
@@ -267,8 +270,9 @@ def check_p1(graph: DirectedGraph,
             def pair_edges(s, t):
                 return frozenset(_iter_bits(from_mask[s] & to_mask[t]))
         failing = None
+        sinks = graph.sinks()
         for s in graph.sources():
-            for t in graph.sinks():
+            for t in sinks:
                 if s == t:
                     continue
                 edges = pair_edges(s, t)

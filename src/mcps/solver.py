@@ -11,10 +11,10 @@ from typing import Optional
 from . import oracle
 from .errors import McpsError, NotDspError, NotLspError
 from .flow import RetentionRatio, check_all_pairs
-from .graphs import DirectedGraph, EdgeSet, induced_on_edges
+from .graphs import DirectedGraph, EdgeSet
 from .lsp import DEFAULT_PATH_BUDGET, eas_family, is_lsp, meas_partition
 from .solution import Solution
-from .spdecomp import LEAF, PARALLEL, recognize_dsp
+from .spdecomp import LEAF, PARALLEL, _postorder, _reduce, recognize_dsp
 
 
 def solve_dsp(graph: DirectedGraph, alpha: RetentionRatio) -> Solution:
@@ -30,39 +30,48 @@ def solve_dsp(graph: DirectedGraph, alpha: RetentionRatio) -> Solution:
     Raises NotDspError (carrying the witness) on non-DSP input.
     """
     tree = recognize_dsp(graph)
-    nodes = tree.nodes
-    selected = set(range(graph.m))
+    kept, med_size = _fold(tree.nodes, tree.postorder, alpha)
+    return Solution(edges=EdgeSet(kept, graph.m), algorithm="dsp", alpha=alpha,
+                    objective=len(kept), mcps_star=len(kept) - med_size)
+
+
+def _fold(nodes, postorder, alpha: RetentionRatio) -> tuple[set[int], int]:
+    """The DSP fold over one decomposition tree: (kept leaf edges, MED size).
+
+    One bottom-up pass computes each node's full capacity and its capacity
+    in the current selection. An edge has an alternative path between its
+    endpoints exactly when its leaf is the terminal-edge child of a P node,
+    so those are the leaves the MED leaves out.
+    """
+    cap_full = [0] * len(nodes)
     cap_cur = [0] * len(nodes)
-    for i in tree.postorder:
+    kept: set[int] = set()
+    med_size = 0
+    for i in postorder:
         nd = nodes[i]
         if nd.kind == LEAF:
-            cap_cur[i] = 1
+            cap_full[i] = cap_cur[i] = 1
+            kept.add(nd.edge)
+            med_size += 1
         elif nd.kind == PARALLEL:
             first, *rest = nd.children
+            full = sum([cap_full[c] for c in nd.children])
             cap = sum([cap_cur[c] for c in rest])
-            if nodes[first].kind == LEAF and cap >= alpha.required(tree.cap_full[i]):
-                selected.discard(nodes[first].edge)
+            if nodes[first].kind == LEAF:
+                med_size -= 1
+                if cap >= alpha.required(full):
+                    kept.discard(nodes[first].edge)
+                else:
+                    cap += 1
             else:
                 cap += cap_cur[first]
+            cap_full[i] = full
             cap_cur[i] = cap
         else:
             a, b = nd.children
+            cap_full[i] = min(cap_full[a], cap_full[b])
             cap_cur[i] = min(cap_cur[a], cap_cur[b])
-    med_size = _med_size_from_tree(tree)
-    return Solution(edges=EdgeSet(selected, graph.m), algorithm="dsp", alpha=alpha,
-                    objective=len(selected), mcps_star=len(selected) - med_size)
-
-
-def _med_size_from_tree(tree) -> int:
-    # An edge of a DSP has an alternative path between its endpoints exactly
-    # when its leaf is the terminal-edge child of a P node.
-    count = 0
-    for edge in range(tree.graph.m):
-        leaf = tree.leaf_of_edge[edge]
-        parent = tree.parent[leaf]
-        if parent == -1 or tree.nodes[parent].kind != PARALLEL:
-            count += 1
-    return count
+    return kept, med_size
 
 
 def solve_lsp(graph: DirectedGraph, alpha: RetentionRatio,
@@ -70,20 +79,29 @@ def solve_lsp(graph: DirectedGraph, alpha: RetentionRatio,
     """Optimal solution on a laminar series-parallel graph.
 
     By P1 each maximal edge EAS set is a DSP whose terminals are the
-    endpoints of an edge, and by P2 these sets partition the edge set
-    (`meas_partition`). Every pair's path-induced subgraph lies inside one
-    block, so the blocks are independent: the optimum is the union of the
-    DSP optima of the blocks, and the MED size is the sum of theirs.
+    endpoints of its defining edge, the one edge whose EAS set is the whole
+    block, and by P2 these sets partition the edge set (`meas_partition`).
+    Every pair's path-induced subgraph lies inside one block, so the blocks
+    are independent: the optimum is the union of the DSP optima of the
+    blocks, and the MED size is the sum of theirs. Each block is reduced in
+    place on the host's vertex ids and folded like `solve_dsp`'s tree.
 
     Raises NotLspError (carrying the verdict) on non-LSP input.
     """
+    blocks = meas_partition(graph, budget)
+    sets = eas_family(graph, budget).sets
+    edges = graph.edges
     chosen: set[int] = set()
     med_size = 0
-    for block in meas_partition(graph, budget):
-        sub, _ = induced_on_edges(graph, block)
-        sol = solve_dsp(sub, alpha)
-        chosen.update(sub.orig_index[e] for e in sol.edges)
-        med_size += sol.objective - sol.mcps_star
+    for block in blocks:
+        defining = next(e for e in block if len(sets[e]) == len(block))
+        s, t = edges[defining]
+        nodes, remaining = _reduce(((e, *edges[e]) for e in block), s, t)
+        assert len(remaining) == 1 and remaining[0][:2] == (s, t), \
+            f"LSP block of edge {defining} is not a DSP on its endpoints"
+        kept, block_med = _fold(nodes, _postorder(nodes, remaining[0][2]), alpha)
+        chosen |= kept
+        med_size += block_med
     return Solution(edges=EdgeSet(chosen, graph.m), algorithm="lsp", alpha=alpha,
                     objective=len(chosen), mcps_star=len(chosen) - med_size)
 

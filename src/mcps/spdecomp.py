@@ -1,22 +1,33 @@
 """Two-terminal series-parallel recognition, decomposition trees and
 capacity folding.
 
-Recognition works by exhaustive series/parallel reduction on an internal
-multigraph workspace: inner vertices with in-degree = out-degree = 1 are
-contracted (series), parallel edges are merged on creation (parallel), each
-step recording a tree node. Parallel nodes are n-ary, as in Valdes, Tarjan
-and Lawler's recognition: a merge into a pair that already has a P node
-appends to it, so a terminal edge of a parallel composition is a leaf child
-of its P node. The reduction system is confluent on acyclic single-source
-single-sink graphs, so getting stuck proves the graph is not
-series-parallel; the stuck core is then handed to the W-subdivision search
-for a best-effort witness.
+Recognition works by exhaustive series/parallel reduction (`_reduce`) on a
+multigraph workspace of routes over the original vertex ids: inner vertices
+with in-degree = out-degree = 1 are contracted (series), parallel routes are
+merged on creation (parallel), each step recording a tree node. Parallel
+nodes are n-ary, as in Valdes, Tarjan and Lawler's recognition: a merge into
+a pair that already has a P node appends to it, so a terminal edge of a
+parallel composition is a leaf child of its P node. The reduction system is
+confluent on acyclic single-source single-sink graphs, so getting stuck
+proves the graph is not series-parallel; the stuck core is then handed to
+the W-subdivision search for a best-effort witness.
+
+No cycle search runs before the reduction. A series step turns a cycle
+through the contracted vertex into a shorter cycle (a self-loop at worst),
+and a parallel merge keeps a route between the merged pair, so no step
+removes a cycle; and the source s and the sink t lie on none. A reduction
+that ends in the single route (s, t) therefore proves the input acyclic, and
+the cycle search runs only to say why a graph is rejected. The same kernel
+decides the path-induced subgraphs of the P1 check and reduces the blocks of
+the LSP solver, without building a graph or a tree object for them.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .errors import BudgetExceededError, NotDspError
@@ -64,36 +75,24 @@ class DecompositionTree:
     Leaves biject with the host graph's edges. S nodes have two children, in
     path order; P nodes have two or more, none of them a P node, and the
     only leaf a P node can have is `children[0]`: the edge joining its
-    terminals. Every node carries its terminal pair; `cap_full[i]` is the
-    max-flow value of node i's subgraph between its terminals (leaf 1,
-    series min, parallel sum).
+    terminals. Every node carries its terminal pair. `postorder` and
+    `cap_full` are computed on first use: `cap_full[i]` is the max-flow
+    value of node i's subgraph between its terminals (leaf 1, series min,
+    parallel sum).
     """
 
     def __init__(self, graph: DirectedGraph, nodes: list[_Node], root: int):
         self.graph = graph
         self.nodes = nodes
         self.root = root
-        self.parent = [-1] * len(nodes)
-        for i, nd in enumerate(nodes):
-            for c in nd.children:
-                self.parent[c] = i
-        self.postorder = self._compute_postorder()
-        self.leaf_of_edge: dict[int, int] = {
-            nd.edge: i for i, nd in enumerate(nodes) if nd.kind == LEAF
-        }
-        self.cap_full = self.fold(range(graph.m))
 
-    def _compute_postorder(self) -> list[int]:
-        # a preorder that visits children last to first, reversed, is the
-        # postorder that visits them first to last
-        order = []
-        stack = [self.root]
-        while stack:
-            i = stack.pop()
-            order.append(i)
-            stack.extend(self.nodes[i].children)
-        order.reverse()
-        return order
+    @cached_property
+    def postorder(self) -> list[int]:
+        return _postorder(self.nodes, self.root)
+
+    @cached_property
+    def cap_full(self) -> list[int]:
+        return self.fold(range(self.graph.m))
 
     def fold(self, selected: "EdgeSet | Iterable[int]") -> list[int]:
         """Per-node capacity using only the selected leaf edges.
@@ -164,76 +163,97 @@ class DecompositionTree:
         return "\n".join(lines) + "\n"
 
 
+def _postorder(nodes: list[_Node], root: int) -> list[int]:
+    # a preorder that visits children last to first, reversed, is the
+    # postorder that visits them first to last
+    order = []
+    stack = [root]
+    while stack:
+        i = stack.pop()
+        order.append(i)
+        stack.extend(nodes[i].children)
+    order.reverse()
+    return order
+
+
+def _reduce(triples: Iterable[tuple[int, int, int]], s: int,
+            t: int) -> tuple[list[_Node], list[tuple[int, int, int]]]:
+    """Series-parallel reduction of the routes given as (edge id, tail, head).
+
+    Returns the tree nodes (one leaf per triple, in triple order, then the S
+    and P nodes in creation order) and the routes left when no step applies,
+    as (tail, head, node index). The input is a DSP with terminals s and t
+    iff exactly one route remains and it is (s, t); its node is then the
+    root. Contraction picks the lowest eligible vertex id first and a
+    parallel merge appends the newer route after the older ones, so the
+    result is deterministic.
+    """
+    nodes: list[_Node] = []
+    out: defaultdict[int, dict[int, int]] = defaultdict(dict)
+    inn: defaultdict[int, dict[int, int]] = defaultdict(dict)
+    for eid, u, v in triples:
+        out[u][v] = inn[v][u] = len(nodes)
+        nodes.append(_Node(LEAF, (), eid, u, v))
+
+    heap = [v for v, succ in out.items()
+            if v != s and v != t and len(succ) == 1 and len(inn[v]) == 1]
+    heapq.heapify(heap)
+    while heap:
+        v = heapq.heappop(heap)
+        pred, succ = inn[v], out[v]
+        if len(pred) != 1 or len(succ) != 1:
+            continue
+        (x, first), = pred.items()
+        (y, second), = succ.items()
+        del out[x][v]
+        del inn[y][v]
+        pred.clear()
+        succ.clear()
+        new = len(nodes)
+        nodes.append(_Node(SERIES, (first, second), -1, x, y))
+        old = out[x].get(y)
+        if old is None:
+            out[x][y] = inn[y][x] = new
+            continue
+        if nodes[old].kind == PARALLEL:
+            nodes[old].children.append(new)
+        else:
+            out[x][y] = inn[y][x] = len(nodes)
+            nodes.append(_Node(PARALLEL, [old, new], -1, x, y))
+        for w in (x, y):
+            if w != s and w != t and len(out[w]) == 1 and len(inn[w]) == 1:
+                heapq.heappush(heap, w)
+
+    remaining = [(x, y, i) for x, succ in out.items() for y, i in succ.items()]
+    return nodes, remaining
+
+
 def recognize_dsp(graph: DirectedGraph,
                   witness_budget: int = _wsearch.DEFAULT_BUDGET) -> DecompositionTree:
     """Decompose a two-terminal series-parallel digraph, or raise NotDspError.
 
-    Contraction picks the lowest eligible vertex id first and parallel merges
-    append the newer route after the older ones, so the resulting tree (and
-    every downstream solver decision) is deterministic.
+    The tree is deterministic (see `_reduce`). A rejection reports the
+    first reason that applies, in the order: a cycle (`find_cycle`'s),
+    several sources, several sinks, then a W-subdivision.
     """
     if graph.m == 0:
         raise ValueError("series-parallel recognition needs at least one edge")
+    srcs = graph.sources()
+    snks = graph.sinks()
+    if len(srcs) == 1 and len(snks) == 1:
+        s, t = srcs[0], snks[0]
+        nodes, remaining = _reduce(
+            ((i, u, v) for i, (u, v) in enumerate(graph.edges)), s, t)
+        if len(remaining) == 1 and remaining[0][:2] == (s, t):
+            return DecompositionTree(graph, nodes, remaining[0][2])
     cycle = graph.find_cycle()
     if cycle is not None:
         raise NotDspError(NotDspWitness("cyclic", cycle=tuple(cycle)))
-    srcs = graph.sources()
-    snks = graph.sinks()
     if len(srcs) != 1:
         raise NotDspError(NotDspWitness("multiple-sources", sources=tuple(srcs)))
     if len(snks) != 1:
         raise NotDspError(NotDspWitness("multiple-sinks", sinks=tuple(snks)))
-    s, t = srcs[0], snks[0]
-
-    nodes: list[_Node] = []
-    out: list[dict[int, int]] = [{} for _ in range(graph.n)]
-    inn: list[dict[int, int]] = [{} for _ in range(graph.n)]
-    node_of: dict[int, int] = {}
-    for i, (u, v) in enumerate(graph.edges):
-        out[u][v] = i
-        inn[v][u] = i
-        nodes.append(_Node(LEAF, (), i, u, v))
-        node_of[i] = i
-    next_eid = graph.m
-
-    heap = [v for v in range(graph.n)
-            if v != s and v != t and len(out[v]) == 1 and len(inn[v]) == 1]
-    heapq.heapify(heap)
-    while heap:
-        v = heapq.heappop(heap)
-        if v == s or v == t or len(out[v]) != 1 or len(inn[v]) != 1:
-            continue
-        (x, e_in), = inn[v].items()
-        (y, e_out), = out[v].items()
-        del out[x][v]
-        del inn[y][v]
-        inn[v].clear()
-        out[v].clear()
-        nodes.append(_Node(SERIES, (node_of[e_in], node_of[e_out]), -1, x, y))
-        new_idx = len(nodes) - 1
-        if y in out[x]:
-            old = out[x][y]
-            merged = nodes[node_of[old]]
-            if merged.kind == PARALLEL:
-                merged.children.append(new_idx)
-            else:
-                nodes.append(_Node(PARALLEL, [node_of[old], new_idx], -1, x, y))
-                node_of[old] = len(nodes) - 1
-            for w in (x, y):
-                if w != s and w != t and len(out[w]) == 1 and len(inn[w]) == 1:
-                    heapq.heappush(heap, w)
-        else:
-            eid = next_eid
-            next_eid += 1
-            out[x][y] = eid
-            inn[y][x] = eid
-            node_of[eid] = new_idx
-
-    remaining = [(x, y, eid) for x in range(graph.n) for y, eid in out[x].items()]
-    if len(remaining) == 1 and (remaining[0][0], remaining[0][1]) == (s, t):
-        return DecompositionTree(graph, nodes, node_of[remaining[0][2]])
-
-    w = _extract_core_witness(graph, remaining, nodes, node_of, witness_budget)
+    w = _extract_core_witness(graph, remaining, nodes, witness_budget)
     raise NotDspError(NotDspWitness("w-subdivision", w=w))
 
 
@@ -271,13 +291,13 @@ def _rep_paths(nodes: list[_Node], roots: Iterable[int]) -> dict[int, tuple[int,
     return memo
 
 
-def _extract_core_witness(graph, remaining, nodes, node_of, budget):
+def _extract_core_witness(graph, remaining, nodes, budget):
     """Search the stuck reduction core for a W-subdivision, then expand each
     core edge back to a path of the original graph. Interior vertices of
     distinct core edges are disjoint by construction, so the expansion is a
     valid subdivision. Returns None when the search exceeds its budget."""
     core_edges = sorted((x, y) for x, y, _ in remaining)
-    eid_of = {(x, y): eid for x, y, eid in remaining}
+    node_of = {(x, y): i for x, y, i in remaining}
     try:
         core = DirectedGraph(graph.n, core_edges)
         found = _wsearch.find_w_subdivision_graph(core, budget=budget)
@@ -285,12 +305,12 @@ def _extract_core_witness(graph, remaining, nodes, node_of, budget):
         return None
     if found is None:
         return None
-    reps = _rep_paths(nodes, [node_of[eid_of[e]] for e in core_edges])
+    reps = _rep_paths(nodes, [node_of[e] for e in core_edges])
     expanded = {}
     for key, path in found.paths.items():
         full = [path[0]]
         for x, y in zip(path, path[1:]):
-            full.extend(reps[node_of[eid_of[(x, y)]]][1:])
+            full.extend(reps[node_of[(x, y)]][1:])
         expanded[key] = tuple(full)
     return _wsearch.WSubdivision(branch=found.branch, paths=expanded)
 

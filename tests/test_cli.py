@@ -79,6 +79,10 @@ def test_check_infeasible_solution_exits_1(capsys, tmp_path, wplus_file):
     '{"solution": [[0, 1]]}',        # no "edges" key
     '{"edges": [[0, 1, 2]]}',        # entry with three ids
     '{"edges": [[0, null]]}',        # non-integer id
+    '{"edges": [[0, 1.9]]}',         # fractional id, int() would read (0, 1)
+    '{"edges": [[true, 3]]}',        # boolean id, int() would read (1, 3)
+    '{"edges": [["0", "1"]]}',       # string ids
+    '{"edges": ["01"]}',             # a two-character string, not a pair
     '{"edges": [0, 1]}',             # bare ids instead of pairs
     '{"edges": 5}',                  # "edges" is not a list
     '7',                             # neither an object nor a list

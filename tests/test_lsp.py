@@ -1,11 +1,14 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mcps import (BudgetExceededError, DirectedGraph, NotLspError, check_p1,
-                  check_p2, eas_family, find_w_subdivision, is_lsp,
-                  meas_partition, path_induced, subdivide)
+import mcps
+from mcps import (BudgetExceededError, DirectedGraph, NotDspError, NotLspError,
+                  RetentionRatio, check_p1, check_p2, eas_family,
+                  find_w_subdivision, is_lsp, meas_partition, path_induced,
+                  recognize_dsp, solve_lsp, subdivide)
 from mcps import oracle
+from mcps.lsp import _is_dsp_with_terminals
 from mcps.generators import fixtures, gen_random_dsp, gen_random_lsp
 
 from strategies import digraphs, dsp_graphs, lsp_graphs
@@ -73,7 +76,6 @@ def test_check_p1():
 
 
 def _check_p1_naive(g):
-    from mcps.lsp import _is_dsp_with_terminals
     for s in range(g.n):
         for t in range(g.n):
             if s == t:
@@ -88,6 +90,59 @@ def _check_p1_naive(g):
 @given(digraphs(max_n=6, max_m=10, acyclic=True))
 def test_check_p1_dag_shortcut_agrees_with_pairwise_scan(g):
     assert check_p1(g) == _check_p1_naive(g)
+
+
+def _recognized_terminals(g, edges):
+    """The pair decision's reference route: relabel the subgraph on `edges`
+    to dense ids, recognize it and map its terminals back (None if it is not
+    a DSP)."""
+    idx = sorted(edges)
+    verts = sorted({w for i in idx for w in g.edges[i]})
+    dense = {w: k for k, w in enumerate(verts)}
+    sub = DirectedGraph(len(verts), [(dense[g.edges[i][0]], dense[g.edges[i][1]])
+                                     for i in idx])
+    try:
+        rs, rt = recognize_dsp(sub).terminals()
+    except NotDspError:
+        return None
+    return verts[rs], verts[rt]
+
+
+@settings(max_examples=200, deadline=None)
+@given(digraphs(max_n=6, max_m=11))
+@example(DirectedGraph(4, [(0, 1), (0, 2), (1, 2), (2, 1), (1, 3), (2, 3)]))  # cyclic P(0, 3)
+@example(fixtures()["w_plus"])
+def test_pair_decision_matches_relabel_and_recognize(g):
+    for s in range(g.n):
+        for t in range(g.n):
+            if s == t:
+                continue
+            edges = path_induced(g, s, t)
+            if edges:
+                assert _is_dsp_with_terminals(g, edges, s, t) == \
+                    (_recognized_terminals(g, edges) == (s, t)), (s, t)
+
+
+def test_check_p1_and_solve_lsp_build_no_tree(monkeypatch):
+    graphs = [gen_random_lsp(seed, blocks=4, block_edges=(3, 8), cyclic_prob=0.5,
+                             bipartite_prob=0.3) for seed in range(6)]
+    graphs.append(fixtures()["W"])
+    alpha = RetentionRatio(1, 2)
+    expected = [(check_p1(g), solve_lsp(g, alpha).objective if is_lsp(g).is_lsp else None)
+                for g in graphs]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("P1 check or LSP block built a decomposition tree")
+
+    for module in (mcps, mcps.spdecomp, mcps.lsp, mcps.solver):
+        for name in ("recognize_dsp", "DecompositionTree"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    for g, (p1, objective) in zip(graphs, expected):
+        fresh = DirectedGraph(g.n, g.edges)  # no cached verdict
+        assert check_p1(fresh) == p1
+        if objective is not None:
+            assert solve_lsp(fresh, alpha).objective == objective
 
 
 def test_check_p2():

@@ -5,7 +5,7 @@ from mcps import DirectedGraph, NotDspError, max_flow_value, recognize_dsp
 from mcps.generators import fixtures, gen_random_dsp
 from mcps.spdecomp import LEAF, PARALLEL, SERIES, DecompositionTree, _Node
 
-from strategies import dsp_graphs
+from strategies import digraphs, dsp_graphs
 
 
 def test_single_edge_is_leaf_tree():
@@ -36,6 +36,47 @@ def test_cycle_and_terminal_witnesses():
     with pytest.raises(NotDspError) as err:
         recognize_dsp(DirectedGraph(3, [(0, 1), (0, 2)]))
     assert err.value.witness.reason == "multiple-sinks"
+
+
+@pytest.mark.parametrize("edges", [
+    [(0, 1), (1, 2), (2, 3), (2, 1)],          # back edge inside a path
+    [(0, 1), (1, 2), (1, 3), (3, 1)],          # 2-cycle off a path: a self-loop route
+], ids=["back-edge", "hanging-2-cycle"])
+def test_cycle_behind_unique_source_and_sink(edges):
+    # the source/sink test passes and the reduction runs first; its failure
+    # must still be reported as the cycle, exactly as find_cycle gives it
+    g = DirectedGraph(4, edges)
+    assert g.sources() == [0] and len(g.sinks()) == 1
+    with pytest.raises(NotDspError) as err:
+        recognize_dsp(g)
+    assert err.value.witness.reason == "cyclic"
+    assert err.value.witness.cycle == tuple(g.find_cycle())
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs(max_n=6, max_m=10))
+def test_rejection_reason_priority(g):
+    # cyclic > multiple-sources > multiple-sinks > w-subdivision
+    if g.m == 0:
+        return
+    cycle = g.find_cycle()
+    try:
+        tree = recognize_dsp(g)
+    except NotDspError as err:
+        witness = err.witness
+        if cycle is not None:
+            assert witness.reason == "cyclic" and witness.cycle == tuple(cycle)
+        elif len(g.sources()) != 1:
+            assert witness.reason == "multiple-sources"
+            assert witness.sources == tuple(g.sources())
+        elif len(g.sinks()) != 1:
+            assert witness.reason == "multiple-sinks"
+            assert witness.sinks == tuple(g.sinks())
+        else:
+            assert witness.reason == "w-subdivision"
+    else:
+        assert cycle is None and tree.terminals() == (g.sources()[0], g.sinks()[0])
+        tree.validate()
 
 
 def test_edgeless_input_is_an_error():
@@ -77,7 +118,8 @@ def test_recognition_puts_terminal_leaf_first():
     tree.validate()
     root = tree.nodes[tree.root]
     assert root.kind == PARALLEL and len(root.children) == 3
-    assert root.children[0] == tree.leaf_of_edge[4]
+    first = tree.nodes[root.children[0]]
+    assert first.kind == LEAF and first.edge == 4
     assert [tree.nodes[c].kind for c in root.children[1:]] == [SERIES, SERIES]
     assert tree.cap_full[tree.root] == 3
 
