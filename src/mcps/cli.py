@@ -160,8 +160,12 @@ def _cmd_stats(args) -> int:
     graph = _read_graph(args.input)
     max_cap = 0
     for s in range(graph.n):
+        # lambda(s, t) <= min(outdeg(s), indeg(t)), so a pair whose bound
+        # cannot beat max_cap is skipped without changing the maximum.
+        if graph.out_degree(s) <= max_cap:
+            continue
         for t in graph.reachable_from(s):
-            if t != s:
+            if t != s and graph.in_degree(t) > max_cap:
                 max_cap = max(max_cap, max_flow_value(graph, s, t))
     bound = None
     if graph.n >= 2:

@@ -3,6 +3,16 @@
 This module is the semantic ground truth every solver output is checked
 against. All arithmetic on ratios is exact (integers / fractions); there is
 no floating point anywhere in coverage logic.
+
+Every flow runs on one residual network per graph, built by `_network` and
+memoized in `graph._cache`, through one augmenting-path kernel, `_augment`.
+A flow owns only its list of arc capacities: an edge subset is 1 on the
+forward arcs of its edges and 0 elsewhere, which is the same as leaving the
+other arcs out, so a caller builds a subset's capacities once and copies
+them per pair. `check_all_pairs` computes the subgraph's flow first, then
+opens the remaining edges and keeps augmenting: a maximum flow of the
+subgraph is a feasible flow of the host, and augmenting from any feasible
+flow reaches the host's maximum, so that pair costs no second cold start.
 """
 
 from __future__ import annotations
@@ -14,7 +24,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Optional
 
-from .graphs import DirectedGraph, EdgeSet
+from .graphs import DirectedGraph, _as_sorted_indices
 
 _RATIO_RE = re.compile(r"^(\d+)/(\d+)$")
 
@@ -84,38 +94,43 @@ class CoverageReport:
     worst_ratio: Fraction
 
 
-def max_flow_value(graph: DirectedGraph, s: int, t: int,
-                   edges: Optional[Iterable[int]] = None,
-                   limit: Optional[int] = None) -> int:
-    """Value of a maximum s-t flow under unit capacities.
+def _network(graph: DirectedGraph) -> tuple[list[int], list[list[int]]]:
+    """The residual network `(to, adj)` over all edges, built once per graph.
 
-    Equals the maximum number of edge-disjoint s-t paths. Returns 0 when t
-    is unreachable from s. Pairs with s == t return the sentinel 0 and are
-    treated as trivially covered by all coverage predicates.
-
-    `edges` restricts the computation to a subset of edge indices; `limit`
-    stops augmenting once the given value is reached (the answer is then
-    min(limit, true value)).
+    Arc 2k is edge k and arc 2k+1 its reverse; `adj[v]` lists the arcs
+    leaving v in edge-index order. Capacities live in a separate list per
+    flow, so the network itself is never mutated.
     """
-    if not (0 <= s < graph.n and 0 <= t < graph.n):
-        raise ValueError("terminal out of range")
-    if s == t:
-        return 0
-    indices = range(graph.m) if edges is None else edges
-    # Residual network: arc 2k is edge k (cap 1), arc 2k+1 its reverse (cap 0).
-    to: list[int] = []
-    cap: list[int] = []
-    adj: list[list[int]] = [[] for _ in range(graph.n)]
-    for i in sorted(indices) if edges is not None else indices:
-        u, v = graph.edges[i]
-        adj[u].append(len(to))
-        to.append(v)
-        cap.append(1)
-        adj[v].append(len(to))
-        to.append(u)
-        cap.append(0)
+    net = graph._cache.get("flow_network")
+    if net is None:
+        to: list[int] = []
+        adj: list[list[int]] = [[] for _ in range(graph.n)]
+        for k, (u, v) in enumerate(graph.edges):
+            adj[u].append(2 * k)
+            adj[v].append(2 * k + 1)
+            to.append(v)
+            to.append(u)
+        net = graph._cache["flow_network"] = (to, adj)
+    return net
+
+
+def _caps(m: int, indices: Optional[list[int]]) -> list[int]:
+    """Arc capacities of an edge subset: 1 on the forward arc of each of its
+    edges, 0 on every other arc (None means every edge)."""
+    if indices is None:
+        return [1, 0] * m
+    cap = [0] * (2 * m)
+    for i in indices:
+        cap[2 * i] = 1
+    return cap
+
+
+def _augment(net, cap: list[int], n: int, s: int, t: int,
+             limit: Optional[int]) -> int:
+    """Push unit BFS augmenting paths from s to t through `cap` (mutated)
+    until none is left or `limit` of them were found; returns their number."""
+    to, adj = net
     flow = 0
-    n = graph.n
     while limit is None or flow < limit:
         parent_arc = [-1] * n
         parent_arc[s] = -2
@@ -141,21 +156,54 @@ def max_flow_value(graph: DirectedGraph, s: int, t: int,
     return flow
 
 
-def _indices_of(edge_set: "EdgeSet | Iterable[int]") -> list[int]:
-    if isinstance(edge_set, EdgeSet):
-        return edge_set.sorted()
-    return sorted(set(edge_set))
+def max_flow_value(graph: DirectedGraph, s: int, t: int,
+                   edges: Optional[Iterable[int]] = None,
+                   limit: Optional[int] = None) -> int:
+    """Value of a maximum s-t flow under unit capacities.
+
+    Equals the maximum number of edge-disjoint s-t paths. Returns 0 when t
+    is unreachable from s. Pairs with s == t return the sentinel 0 and are
+    treated as trivially covered by all coverage predicates.
+
+    `edges` restricts the computation to a subset of edge indices; `limit`
+    stops augmenting once the given value is reached (the answer is then
+    min(limit, true value)).
+    """
+    if not (0 <= s < graph.n and 0 <= t < graph.n):
+        raise ValueError("terminal out of range")
+    indices = None if edges is None else _as_sorted_indices(edges, graph.m)
+    if s == t:
+        return 0
+    if indices is None:
+        # Every s-t path leaves s and enters t on an edge of its own, so the
+        # value never exceeds this bound; stopping there skips the BFS that
+        # would only prove the flow maximal.
+        bound = min(graph.out_degree(s), graph.in_degree(t))
+        limit = bound if limit is None else min(limit, bound)
+    return _augment(_network(graph), _caps(graph.m, indices), graph.n, s, t, limit)
+
+
+def _degrees(graph: DirectedGraph, indices: list[int]) -> tuple[list[int], list[int]]:
+    """Out- and in-degrees of every vertex in the subgraph of `indices`."""
+    out = [0] * graph.n
+    inc = [0] * graph.n
+    for i in indices:
+        u, v = graph.edges[i]
+        out[u] += 1
+        inc[v] += 1
+    return out, inc
 
 
 def is_covered(graph: DirectedGraph, edge_set, s: int, t: int,
                alpha: RetentionRatio) -> bool:
     """True iff the subgraph keeps at least ceil(alpha * capacity) flow for (s,t)."""
+    indices = _as_sorted_indices(edge_set, graph.m)
     if s == t:
         return True
     need = alpha.required(max_flow_value(graph, s, t))
     if need == 0:
         return True
-    return max_flow_value(graph, s, t, edges=_indices_of(edge_set), limit=need) >= need
+    return max_flow_value(graph, s, t, edges=indices, limit=need) >= need
 
 
 def check_all_pairs(graph: DirectedGraph, edge_set, alpha: RetentionRatio) -> CoverageReport:
@@ -165,19 +213,33 @@ def check_all_pairs(graph: DirectedGraph, edge_set, alpha: RetentionRatio) -> Co
     violations, and targets unreachable from s are skipped without a flow;
     the worst ratio is the exact minimum of subgraph/host capacity over
     pairs with positive host capacity (1 when there are none).
+
+    Each pair first computes the subgraph's flow, then opens the other
+    edges and keeps augmenting from that flow to the host's maximum.
     """
-    indices = _indices_of(edge_set)
+    indices = _as_sorted_indices(edge_set, graph.m)
+    net = _network(graph)
+    n = graph.n
+    sub = _caps(graph.m, indices)
+    closed = [a for a in range(0, 2 * graph.m, 2) if not sub[a]]
+    sub_out, sub_in = _degrees(graph, indices)
     first: Optional[Violation] = None
     worst = Fraction(1)
-    for s in range(graph.n):
+    for s in range(n):
+        out_s = graph.out_degree(s)
         for t in sorted(graph.reachable_from(s)):
             if t == s:
                 continue
-            lam = max_flow_value(graph, s, t)
-            lam_sub = max_flow_value(graph, s, t, edges=indices)
-            ratio = Fraction(lam_sub, lam)
-            if ratio < worst:
-                worst = ratio
+            # A flow never exceeds min(outdeg(s), indeg(t)) of its graph, so
+            # both flows stop at that bound without a last, fruitless BFS.
+            cap = sub[:]
+            lam_sub = _augment(net, cap, n, s, t, min(sub_out[s], sub_in[t]))
+            for a in closed:
+                cap[a] = 1
+            lam = lam_sub + _augment(net, cap, n, s, t,
+                                     min(out_s, graph.in_degree(t)) - lam_sub)
+            if lam_sub * worst.denominator < worst.numerator * lam:
+                worst = Fraction(lam_sub, lam)
             need = alpha.required(lam)
             if lam_sub < need and first is None:
                 first = Violation(s, t, lam, lam_sub, need)
@@ -187,9 +249,14 @@ def check_all_pairs(graph: DirectedGraph, edge_set, alpha: RetentionRatio) -> Co
 def feasible(graph: DirectedGraph, edge_indices: Iterable[int],
              requirements: list[tuple[int, int, int]]) -> bool:
     """Early-exit feasibility against precomputed (s, t, required) rows."""
-    indices = sorted(set(edge_indices))
+    indices = _as_sorted_indices(edge_indices, graph.m)
+    net = _network(graph)
+    base = _caps(graph.m, indices)
+    out, inc = _degrees(graph, indices)
     for s, t, need in requirements:
-        if max_flow_value(graph, s, t, edges=indices, limit=need) < need:
+        # The subgraph's s-t flow is at most min(outdeg(s), indeg(t)) there,
+        # so a row needing more fails without a flow.
+        if min(out[s], inc[t]) < need or _augment(net, base[:], graph.n, s, t, need) < need:
             return False
     return True
 
@@ -215,4 +282,3 @@ def pair_requirements(graph: DirectedGraph, alpha: Optional[RetentionRatio],
             if need > 0:
                 rows.append((s, t, need))
     return rows
-

@@ -1,14 +1,21 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mcps
 from mcps import parse_edge_list, to_edge_list
 from mcps.cli import main
 from mcps.generators import example_reduction_artifact, fixtures
+
+from strategies import digraphs
 
 
 @pytest.fixture
@@ -276,3 +283,83 @@ def test_outputs_are_byte_deterministic(capsys, wplus_file):
     assert runs[0] == runs[1]
     runs = [run(capsys, "recognize", "--input", wplus_file) for _ in range(2)]
     assert runs[0] == runs[1]
+
+
+# --- property tests through cli.main --------------------------------------
+
+def _run_in(directory, files, *argv):
+    """cli.main on files written into `directory`, with output captured."""
+    for name, text in files.items():
+        with open(os.path.join(directory, name), "w", encoding="utf-8") as fh:
+            fh.write(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([os.path.join(directory, a) if a in files else a for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(digraphs(max_n=7, max_m=14))
+def test_stats_max_pair_capacity_is_the_unpruned_maximum(g):
+    unpruned = max([mcps.max_flow_value(g, s, t) for s in range(g.n)
+                    for t in g.reachable_from(s) if t != s], default=0)
+    with tempfile.TemporaryDirectory() as tmp:
+        code, out, _ = _run_in(tmp, {"g.el": to_edge_list(g)}, "stats", "--input", "g.el")
+    assert code == 0
+    assert json.loads(out)["max_pair_capacity"] == unpruned
+
+
+_ids = st.integers(-1, 7)
+_junk_line = st.one_of(
+    st.tuples(_ids, _ids).map(lambda p: f"{p[0]} {p[1]}"),
+    st.sampled_from(["", "# comment", "  # indented comment", "1", "1 2 3", "a b",
+                     "1.5 2", "0\t1", "+1 2", "0 0", "-1 2", "x 2", "3 2 1"]))
+_junk_json = st.sampled_from(['{"edges": ', "7", '{"solution": []}', '{"edges": 5}', "",
+                              "[[0, 1]", '{"edges": [[0, 1.5]]}', '{"edges": [[true, 1]]}',
+                              '{"edges": [["0", "1"]]}', '{"edges": [[0, 1, 2]]}'])
+
+
+@st.composite
+def _cli_inputs(draw):
+    """Edge-list text and solution JSON: a valid graph and a subset of its
+    edges, each sometimes broken by inserted, replaced or miscounted lines."""
+    g = draw(digraphs(max_n=6, max_m=9))
+    lines = to_edge_list(g).splitlines()
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        kind = draw(st.sampled_from(["insert", "replace", "header"]))
+        at = draw(st.integers(1 if kind == "replace" else 0, len(lines)))
+        if kind == "header":
+            lines[0] = f"{draw(st.integers(0, 7))} {draw(st.integers(0, 10))}"
+        elif kind == "replace" and at < len(lines):
+            lines[at] = draw(_junk_line)
+        else:
+            lines.insert(at, draw(_junk_line))
+    pairs = [list(e) for e in g.edges if draw(st.booleans())]
+    if not draw(st.integers(0, 4)):
+        pairs.append([draw(_ids), draw(_ids)])
+    solution = draw(st.sampled_from([json.dumps({"edges": pairs}), json.dumps(pairs)])
+                    if draw(st.integers(0, 3)) else _junk_json)
+    return "\n".join(lines) + "\n", solution
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["solve", "check", "recognize", "med", "stats"]), _cli_inputs(),
+       st.sampled_from(["1/2", "1/3", "2/3", "3/4"] * 3 + ["7/3", "0/1", "x"]),
+       st.sampled_from(["auto", "dsp", "lsp", "oracle"]), st.booleans(),
+       st.sampled_from(["16", "2"]))
+def test_cli_fuzz_exit_codes_and_stderr(cmd, inputs, alpha, mode, against_oracle, budget):
+    text, solution = inputs
+    argv = [cmd, "--input", "g.el"]
+    if cmd == "solve":
+        argv += ["--alpha", alpha, "--mode", mode, "--oracle-budget", budget]
+    elif cmd == "check":
+        argv += ["--alpha", alpha, "--solution", "sol.json", "--oracle-budget", budget]
+        argv += ["--against-oracle"] if against_oracle else []
+    with tempfile.TemporaryDirectory() as tmp:
+        code, _, err = _run_in(tmp, {"g.el": text, "sol.json": solution}, *argv)
+    assert code in range(5)
+    assert "Traceback" not in err
+    if code in (2, 4):
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+    if code == 3:
+        assert err.startswith("precondition violation:"), err

@@ -1,11 +1,15 @@
+from collections import deque
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mcps import (DirectedGraph, EdgeSet, RetentionRatio, check_all_pairs,
-                  is_covered, max_flow_value)
+from mcps import (CoverageReport, DirectedGraph, EdgeSet, RetentionRatio, Violation,
+                  check_all_pairs, is_covered, max_flow_value)
+from mcps.flow import feasible, pair_requirements
 from mcps.generators import fixtures
+from mcps.oracle import edge_disjoint_paths_count
 
 from strategies import digraphs
 
@@ -147,3 +151,160 @@ def test_coverage_monotone_in_subset_and_alpha(g):
             if is_covered(g, subset, s, t, half):
                 assert is_covered(g, superset, s, t, half)
                 assert is_covered(g, subset, s, t, third)
+
+
+# --- the shared residual network ------------------------------------------
+
+def _reference_max_flow(graph, s, t, edges=None, limit=None):
+    """The build-per-call kernel: a fresh residual network over exactly the
+    given edges for every call."""
+    if s == t:
+        return 0
+    indices = range(graph.m) if edges is None else sorted(set(edges))
+    to, cap, adj = [], [], [[] for _ in range(graph.n)]
+    for i in indices:
+        u, v = graph.edges[i]
+        adj[u].append(len(to))
+        to.append(v)
+        cap.append(1)
+        adj[v].append(len(to))
+        to.append(u)
+        cap.append(0)
+    flow = 0
+    while limit is None or flow < limit:
+        parent_arc = [-1] * graph.n
+        parent_arc[s] = -2
+        queue = deque([s])
+        while queue:
+            v = queue.popleft()
+            if v == t:
+                break
+            for a in adj[v]:
+                if cap[a] and parent_arc[to[a]] == -1:
+                    parent_arc[to[a]] = a
+                    queue.append(to[a])
+        if parent_arc[t] == -1:
+            break
+        v = t
+        while v != s:
+            a = parent_arc[v]
+            cap[a] -= 1
+            cap[a ^ 1] += 1
+            v = to[a ^ 1]
+        flow += 1
+    return flow
+
+
+def _reference_report(graph, subset, alpha):
+    first, worst = None, Fraction(1)
+    for s in range(graph.n):
+        for t in range(graph.n):
+            lam = _reference_max_flow(graph, s, t)
+            if s == t or lam == 0:
+                continue
+            lam_sub = _reference_max_flow(graph, s, t, edges=subset)
+            worst = min(worst, Fraction(lam_sub, lam))
+            need = alpha.required(lam)
+            if lam_sub < need and first is None:
+                first = Violation(s, t, lam, lam_sub, need)
+    return CoverageReport(feasible=first is None, first_violation=first, worst_ratio=worst)
+
+
+@st.composite
+def _graph_and_subset(draw, max_n=6, max_m=10):
+    g = draw(digraphs(max_n=max_n, max_m=max_m))
+    subset = draw(st.sets(st.integers(0, g.m - 1))) if g.m else set()
+    return g, sorted(subset)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_graph_and_subset(), st.one_of(st.none(), st.integers(0, 4)))
+def test_max_flow_matches_build_per_call_kernel(gs, limit):
+    g, subset = gs
+    for s in range(g.n):
+        for t in range(g.n):
+            for edges in (None, subset):
+                want = _reference_max_flow(g, s, t, edges=edges, limit=limit)
+                assert max_flow_value(g, s, t, edges=edges, limit=limit) == want
+                if s != t:
+                    host = g if edges is None else g.spanning_subgraph(edges)
+                    paths = edge_disjoint_paths_count(host, s, t)
+                    assert want == (paths if limit is None else min(limit, paths))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_graph_and_subset(), st.sampled_from([RetentionRatio(1, 3), RetentionRatio(1, 2),
+                                             RetentionRatio(2, 3), RetentionRatio(3, 4)]))
+def test_check_all_pairs_matches_pair_by_pair_reference(gs, alpha):
+    g, subset = gs
+    assert check_all_pairs(g, subset, alpha) == _reference_report(g, subset, alpha)
+    assert check_all_pairs(g, EdgeSet(subset, g.m), alpha) == _reference_report(g, subset, alpha)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_graph_and_subset(), st.integers(0, 3))
+def test_shared_network_keeps_no_state_between_calls(gs, limit):
+    g, subset = gs
+    half, third = RetentionRatio(1, 2), RetentionRatio(1, 3)
+    pairs = [(s, t) for s in range(g.n) for t in range(g.n)]
+    for s, t in pairs:
+        assert max_flow_value(g, s, t, edges=subset, limit=limit) == \
+            _reference_max_flow(g, s, t, edges=subset, limit=limit)
+        assert max_flow_value(g, s, t) == _reference_max_flow(g, s, t)
+    assert check_all_pairs(g, subset, half) == _reference_report(g, subset, half)
+    for s, t in reversed(pairs):
+        assert max_flow_value(g, s, t, limit=limit) == _reference_max_flow(g, s, t, limit=limit)
+        assert max_flow_value(g, s, t, edges=subset) == _reference_max_flow(g, s, t, edges=subset)
+    assert check_all_pairs(g, subset, third) == _reference_report(g, subset, third)
+    rows = pair_requirements(g, half)
+    assert feasible(g, subset, rows) == check_all_pairs(g, subset, half).feasible
+
+
+class _CountingEdges(tuple):
+    """An edge tuple that counts how many edges are read from it."""
+
+    reads = 0
+
+    def __iter__(self):
+        type(self).reads += len(self)
+        return super().__iter__()
+
+    def __getitem__(self, i):
+        type(self).reads += 1
+        return super().__getitem__(i)
+
+
+def test_check_all_pairs_builds_the_network_at_most_once(monkeypatch):
+    g = fixtures()["bidirected_K4"]
+    subset = [0, 2, 5, 7, 9]
+    want = check_all_pairs(DirectedGraph(g.n, g.edges), subset, RetentionRatio(1, 2))
+    monkeypatch.setattr(_CountingEdges, "reads", 0)
+    g.edges = _CountingEdges(g.edges)
+    assert check_all_pairs(g, subset, RetentionRatio(1, 2)) == want
+    # one pass over the edges for the network, one read per subset edge
+    assert _CountingEdges.reads <= g.m + len(subset)
+    monkeypatch.setattr(_CountingEdges, "reads", 0)
+    assert check_all_pairs(g, subset, RetentionRatio(1, 2)) == want
+    assert _CountingEdges.reads <= len(subset)  # the network is cached
+
+
+# --- edge indices outside the host graph ----------------------------------
+
+PATH3 = DirectedGraph(3, [(0, 1), (1, 2)])
+_HALF = RetentionRatio(1, 2)
+_BAD_INDICES = {"negative": [-1], "negative-mixed": [-1, 0], "too-large": [2],
+                "foreign-edge-set": EdgeSet([0, 1], 3)}
+_CALLS = {
+    "max_flow_value": lambda edges: max_flow_value(PATH3, 1, 2, edges=edges),
+    "max_flow_value-s==t": lambda edges: max_flow_value(PATH3, 1, 1, edges=edges),
+    "check_all_pairs": lambda edges: check_all_pairs(PATH3, edges, _HALF),
+    "is_covered": lambda edges: is_covered(PATH3, edges, 1, 2, _HALF),
+    "feasible": lambda edges: feasible(PATH3, edges, [(0, 2, 1)]),
+}
+
+
+@pytest.mark.parametrize("indices", list(_BAD_INDICES.values()), ids=list(_BAD_INDICES))
+@pytest.mark.parametrize("call", list(_CALLS.values()), ids=list(_CALLS))
+def test_flow_api_rejects_indices_outside_the_host(call, indices):
+    with pytest.raises(ValueError):
+        call(indices)

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from mcps import (DirectedGraph, EdgeSet, McpsError, NotDspError, NotLspError,
                   RetentionRatio, check_all_pairs, extract_mscs_or_hamiltonian,
                   mcps_star_value, solve, solve_dsp, solve_lsp, solve_med)
-from mcps import oracle
+from mcps import oracle, solver
+from mcps.solution import Solution
 from mcps.generators import (example_reduction_artifact, fixtures,
                              brute_force_set_cover, sc_to_mcps_solution)
 
@@ -196,3 +197,26 @@ def test_solution_json_shape():
         "mcps_star": 0,
         "edges": [[0, 1], [1, 2]],
     }
+
+
+def _dropping_first_edge(real):
+    """A solver whose answer loses its first edge; the real solver's
+    answers are minimum, so every one of their edges is needed."""
+    def broken(graph, alpha, *args, **kwargs):
+        sol = real(graph, alpha, *args, **kwargs)
+        edges = EdgeSet(sol.edges.sorted()[1:], graph.m)
+        return Solution(edges=edges, algorithm=sol.algorithm, alpha=alpha,
+                        objective=len(edges), mcps_star=sol.mcps_star)
+    return broken
+
+
+@pytest.mark.parametrize("name, solver_name", [("diamond", "solve_dsp"),
+                                                ("triangle_chord", "solve_dsp"),
+                                                ("C4", "solve_lsp"),
+                                                ("block_chain", "solve_lsp")])
+def test_solve_certifies_every_answer(monkeypatch, name, solver_name):
+    g = fixtures()[name]
+    assert solve(g, HALF).algorithm == solver_name.removeprefix("solve_")
+    monkeypatch.setattr(solver, solver_name, _dropping_first_edge(getattr(solver, solver_name)))
+    with pytest.raises(McpsError, match="internal error"):
+        solve(g, HALF)
