@@ -14,6 +14,11 @@ from typing import Iterable, Iterator, Optional
 
 from .errors import EdgeListParseError
 
+# Largest vertex count an edge-list header may declare. The graph allocates
+# adjacency lists for every declared vertex before any edge is read, so an
+# unchecked header would let a few bytes of input claim gigabytes.
+MAX_HEADER_VERTICES = 1_000_000
+
 
 class DirectedGraph:
     """A simple directed graph over vertices 0..n-1.
@@ -258,7 +263,8 @@ def parse_edge_list(text: str) -> DirectedGraph:
     """Parse the edge-list format: header "n m", then m lines "tail head".
 
     Lines starting with '#' are ignored. Errors name the offending 1-based
-    line of the original text.
+    line of the original text. A header declaring more than
+    MAX_HEADER_VERTICES vertices is rejected on its own line.
     """
     header: Optional[tuple[int, int]] = None
     header_line = 0
@@ -278,6 +284,9 @@ def parse_edge_list(text: str) -> DirectedGraph:
         if header is None:
             if a < 0 or b < 0:
                 raise EdgeListParseError(line_no, "negative count in header")
+            if a > MAX_HEADER_VERTICES:
+                raise EdgeListParseError(
+                    line_no, f"header vertex count {a} exceeds the limit of {MAX_HEADER_VERTICES}")
             header = (a, b)
             header_line = line_no
             continue

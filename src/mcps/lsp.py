@@ -3,17 +3,20 @@ families and their mu-values, the P1/P2 class checks, the MEAS partition
 into the independent DSP blocks the LSP solver works on, edge subdivision,
 and W-subdivision search.
 
-Deciding whether a given edge lies on a simple u-v path is NP-hard on
-general digraphs, so the exact path-induced computation enumerates simple
-paths under a hard step budget. On DAGs an exact shortcut applies: edge
-(x, y) lies on a simple u-v path iff x is reachable from u and v is
-reachable from y, which we evaluate with per-vertex edge bitmasks in
-O(m) big-integer operations for the whole family.
+Every path-induced edge set P(s, t) is read from one table, `_pair_edges`,
+as an edge bitmask. On DAGs an exact shortcut applies: edge (x, y) lies on
+a simple s-t path iff x is reachable from s and t is reachable from y, so
+P(s, t) is `from_mask[s] & to_mask[t]` over per-vertex closure masks built
+in O(m) big-integer operations (or, above the mask cap, a per-pair
+reachability product). Deciding whether an edge lies on a simple s-t path
+is NP-hard on general digraphs, so on cyclic graphs the table walks every
+simple path from s once, under a hard step budget of
+DEFAULT_PATH_BUDGET * (n - 1) path prefixes per source, and caches the
+whole row P(s, *) on the graph.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -87,86 +90,89 @@ def _closure_edge_masks(graph: DirectedGraph):
     return result
 
 
-def _path_induced_enum(graph: DirectedGraph, u: int, v: int, budget: int) -> frozenset[int]:
-    """Exact enumeration of simple u-v paths with a reach-v lookahead.
-
-    The lookahead ignores vertices already on the current path, so every
-    explored branch completes into at least one accepted path; total cost is
-    proportional to the number of simple paths, charged against the budget.
-    """
-    steps = budget
-    result: set[int] = set()
-    path_vertices = [u]
-    on_path = {u}
-    path_edges: list[int] = []
-    iters = [iter(graph.out_edges(u))]
-
-    def reaches_target(start: int) -> bool:
-        nonlocal steps
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            w = queue.popleft()
-            steps -= 1
-            if steps < 0:
-                raise BudgetExceededError("path enumeration budget exceeded")
-            if w == v:
-                return True
-            for _, head in graph.out_edges(w):
-                if head not in seen and head not in on_path:
-                    seen.add(head)
-                    queue.append(head)
-        return False
-
-    while iters:
-        steps -= 1
-        if steps < 0:
-            raise BudgetExceededError("path enumeration budget exceeded")
-        try:
-            eid, head = next(iters[-1])
-        except StopIteration:
-            iters.pop()
-            if path_edges:
-                path_edges.pop()
-                on_path.discard(path_vertices.pop())
-            continue
-        if head == v:
-            result.update(path_edges)
-            result.add(eid)
-            continue
-        if head in on_path:
-            continue
-        if not reaches_target(head):
-            continue
-        path_vertices.append(head)
-        on_path.add(head)
-        path_edges.append(eid)
-        iters.append(iter(graph.out_edges(head)))
-    return frozenset(result)
-
-
-def _pair_edges_dag(graph: DirectedGraph, u: int, v: int) -> frozenset[int]:
+def _pair_edges_dag(graph: DirectedGraph, u: int, v: int) -> int:
     """Per-query reachability product on DAGs, no cached masks needed."""
     from_u = graph.reachable_from(u)
     to_v = graph.reaching(v)
-    return frozenset(i for i, (x, y) in enumerate(graph.edges)
-                     if x in from_u and y in to_v)
+    mask = 0
+    for i, (x, y) in enumerate(graph.edges):
+        if x in from_u and y in to_v:
+            mask |= 1 << i
+    return mask
 
 
-def path_induced(graph: DirectedGraph, u: int, v: int,
-                 budget: int = DEFAULT_PATH_BUDGET) -> frozenset[int]:
-    """Indices of edges lying on at least one simple directed u-v path."""
+def _source_row(graph: DirectedGraph, s: int) -> list[int]:
+    """P(s, t) as an edge bitmask for every t, by one DFS over the simple
+    paths that start at s.
+
+    Every prefix of such a path that ends at t is a simple s-t path, so
+    ORing the current path's edge mask into the entry of its head at each
+    step leaves exactly P(s, t) there. The walk charges one step per simple
+    path prefix against a budget of DEFAULT_PATH_BUDGET * (n - 1). A prefix
+    ending at w is also a distinct step of a per-pair enumeration of the
+    simple s-w paths that prunes branches which cannot reach w (the step
+    that extends its parent prefix by its last edge), so a row never takes
+    more steps than its n - 1 pairs would together: whenever every pair's
+    enumeration fits DEFAULT_PATH_BUDGET, every row fits its budget.
+    """
+    budget = DEFAULT_PATH_BUDGET * (graph.n - 1)
+    steps = budget
+    row = [0] * graph.n
+    on_path = [False] * graph.n
+    on_path[s] = True
+    path = [s]
+    masks = [0]
+    iters = [iter(graph.out_edges(s))]
+    while iters:
+        for eid, head in iters[-1]:
+            if not on_path[head]:
+                break
+        else:
+            iters.pop()
+            masks.pop()
+            on_path[path.pop()] = False
+            continue
+        steps -= 1
+        if steps < 0:
+            raise BudgetExceededError(
+                f"path enumeration budget exceeded: {budget} steps from source {s}")
+        mask = masks[-1] | (1 << eid)
+        row[head] |= mask
+        on_path[head] = True
+        path.append(head)
+        masks.append(mask)
+        iters.append(iter(graph.out_edges(head)))
+    return row
+
+
+def _pair_edges(graph: DirectedGraph, s: int, t: int) -> int:
+    """P(s, t) as an edge bitmask: the closure masks on DAGs, a reachability
+    product on DAGs over the mask cap, and the source's cached row walk on
+    cyclic graphs."""
+    masks = _closure_edge_masks(graph)
+    if masks is None:
+        rows = graph._cache.setdefault("path_rows", {})
+        if s not in rows:
+            rows[s] = _source_row(graph, s)
+        return rows[s][t]
+    if masks is _TOO_BIG:
+        return _pair_edges_dag(graph, s, t)
+    from_mask, to_mask = masks
+    return from_mask[s] & to_mask[t]
+
+
+def path_induced(graph: DirectedGraph, u: int, v: int) -> frozenset[int]:
+    """Indices of edges lying on at least one simple directed u-v path.
+
+    On cyclic graphs the first query from u walks every simple path from u
+    once and answers all later queries from u; the walk raises
+    BudgetExceededError past DEFAULT_PATH_BUDGET * (n - 1) path prefixes.
+    """
     if u == v:
         raise ValueError("path_induced requires distinct endpoints")
     if not (0 <= u < graph.n and 0 <= v < graph.n):
         raise ValueError("vertex out of range")
-    masks = _closure_edge_masks(graph)
-    if masks is None:
-        return _path_induced_enum(graph, u, v, budget)
-    if masks is _TOO_BIG:
-        return _pair_edges_dag(graph, u, v)
-    from_mask, to_mask = masks
-    return frozenset(_iter_bits(from_mask[u] & to_mask[v]))
+    return frozenset(_iter_bits(_pair_edges(graph, u, v)))
 
 
 @dataclass(frozen=True)
@@ -180,21 +186,15 @@ class EasFamily:
         return len(self.sets[edge_index])
 
 
-def eas_family(graph: DirectedGraph, budget: int = DEFAULT_PATH_BUDGET) -> EasFamily:
+def eas_family(graph: DirectedGraph) -> EasFamily:
+    """Each edge's EAS set P(u, v), read from row u of the path table."""
     if "eas_family" in graph._cache:
         return graph._cache["eas_family"]
-    masks = _closure_edge_masks(graph)
-    if masks is _TOO_BIG:
+    if _closure_edge_masks(graph) is _TOO_BIG:
         raise BudgetExceededError(
             f"graph too large for exact path-set computation "
             f"(n*m = {graph.n * graph.m} exceeds the closure-mask cap)")
-    if masks is not None:
-        from_mask, to_mask = masks
-        sets = tuple(frozenset(_iter_bits(from_mask[u] & to_mask[v]))
-                     for u, v in graph.edges)
-    else:
-        sets = tuple(_path_induced_enum(graph, u, v, budget)
-                     for u, v in graph.edges)
+    sets = tuple(frozenset(_iter_bits(_pair_edges(graph, u, v))) for u, v in graph.edges)
     fam = EasFamily(graph, sets)
     graph._cache["eas_family"] = fam
     return fam
@@ -204,11 +204,10 @@ def _laminar(a: frozenset, b: frozenset) -> bool:
     return a <= b or b <= a or not (a & b)
 
 
-def check_p2(graph: DirectedGraph,
-             budget: int = DEFAULT_PATH_BUDGET) -> tuple[bool, Optional[tuple[int, int]]]:
+def check_p2(graph: DirectedGraph) -> tuple[bool, Optional[tuple[int, int]]]:
     """Laminarity of the edge EAS family; witness is the first violating
     (edge id, edge id) pair."""
-    fam = eas_family(graph, budget)
+    fam = eas_family(graph)
     distinct: dict[frozenset, int] = {}
     for e, s in enumerate(fam.sets):
         if s not in distinct:
@@ -242,14 +241,15 @@ def _is_dsp_with_terminals(graph: DirectedGraph, edge_indices, s: int, t: int) -
     return len(remaining) == 1 and remaining[0][:2] == (s, t)
 
 
-def check_p1(graph: DirectedGraph,
-             budget: int = DEFAULT_PATH_BUDGET) -> tuple[bool, Optional[tuple[int, int]]]:
+def check_p1(graph: DirectedGraph) -> tuple[bool, Optional[tuple[int, int]]]:
     """Every pair's path-induced subgraph is a DSP with those terminals or
     empty; witness is the first failing (s, t) in id order.
 
-    Each pair subgraph is decided by one in-place series-parallel reduction
-    on the host's vertex ids (`spdecomp._reduce`), with no subgraph, cycle
-    search or decomposition tree built for it.
+    Each P(s, t) comes from the one path table (`_pair_edges`): closure
+    masks on DAGs, one walk per source on cyclic graphs. Each nonempty one
+    is decided by one in-place series-parallel reduction on the host's
+    vertex ids (`spdecomp._reduce`), with no subgraph, cycle search or
+    decomposition tree built for it.
 
     On DAGs only source x sink pairs need recognition: every nonempty
     P(s, t) embeds in some P(source, sink) there, and pair subgraphs of a
@@ -257,64 +257,41 @@ def check_p1(graph: DirectedGraph,
     A failing DAG is then rescanned pair by pair for the id-order witness,
     but only up to n = _CANONICAL_RESCAN_LIMIT; above it the witness is the
     first failing source x sink pair (sources, then sinks, in id order),
-    which need not be the first failing pair in id order.
+    which need not be the first failing pair in id order. Cyclic graphs go
+    straight to the pair-by-pair scan, at every size.
     """
-    masks = _closure_edge_masks(graph)
-    if masks is not None:
-        if masks is _TOO_BIG:
-            def pair_edges(s, t):
-                return _pair_edges_dag(graph, s, t)
-        else:
-            from_mask, to_mask = masks
+    def fails(s, t):
+        edges = _pair_edges(graph, s, t)
+        return edges and not _is_dsp_with_terminals(graph, _iter_bits(edges), s, t)
 
-            def pair_edges(s, t):
-                return frozenset(_iter_bits(from_mask[s] & to_mask[t]))
-        failing = None
+    failing = None
+    if _closure_edge_masks(graph) is not None:
         sinks = graph.sinks()
-        for s in graph.sources():
-            for t in sinks:
-                if s == t:
-                    continue
-                edges = pair_edges(s, t)
-                if edges and not _is_dsp_with_terminals(graph, edges, s, t):
-                    failing = (s, t)
-                    break
-            if failing:
-                break
+        failing = next(((s, t) for s in graph.sources() for t in sinks
+                        if s != t and fails(s, t)), None)
         if failing is None:
             return True, None
-        if graph.n <= _CANONICAL_RESCAN_LIMIT:
-            for s in range(graph.n):
-                for t in range(graph.n):
-                    if s == t:
-                        continue
-                    edges = pair_edges(s, t)
-                    if edges and not _is_dsp_with_terminals(graph, edges, s, t):
-                        return False, (s, t)
-        return False, failing
+        if graph.n > _CANONICAL_RESCAN_LIMIT:
+            return False, failing
     for s in range(graph.n):
         for t in range(graph.n):
-            if s == t:
-                continue
-            edges = _path_induced_enum(graph, s, t, budget)
-            if edges and not _is_dsp_with_terminals(graph, edges, s, t):
+            if s != t and fails(s, t):
                 return False, (s, t)
-    return True, None
+    return failing is None, failing
 
 
-def is_lsp(graph: DirectedGraph, budget: int = DEFAULT_PATH_BUDGET) -> LspVerdict:
+def is_lsp(graph: DirectedGraph) -> LspVerdict:
     """Conjunction of the P1 and P2 checks, with both witnesses."""
     if "lsp_verdict" in graph._cache:
         return graph._cache["lsp_verdict"]
-    p1_ok, p1_wit = check_p1(graph, budget)
-    p2_ok, p2_wit = check_p2(graph, budget)
+    p1_ok, p1_wit = check_p1(graph)
+    p2_ok, p2_wit = check_p2(graph)
     verdict = LspVerdict(is_lsp=p1_ok and p2_ok, p1_witness=p1_wit, p2_witness=p2_wit)
     graph._cache["lsp_verdict"] = verdict
     return verdict
 
 
-def meas_partition(graph: DirectedGraph,
-                   budget: int = DEFAULT_PATH_BUDGET) -> list[EdgeSet]:
+def meas_partition(graph: DirectedGraph) -> list[EdgeSet]:
     """The maximal edge EAS sets; on an LSP they partition the edge set.
 
     These are the independent blocks of the LSP solver: by P1 each one is a
@@ -322,10 +299,10 @@ def meas_partition(graph: DirectedGraph,
     smallest contained edge index. Raises NotLspError (carrying the verdict)
     when the precondition fails.
     """
-    verdict = is_lsp(graph, budget)
+    verdict = is_lsp(graph)
     if not verdict.is_lsp:
         raise NotLspError(verdict)
-    fam = eas_family(graph, budget)
+    fam = eas_family(graph)
     # The family is laminar, so scanning largest first, a set is maximal iff
     # it shares no edge with a set already kept; otherwise it nests in one.
     maximal = []

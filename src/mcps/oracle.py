@@ -8,7 +8,7 @@ hard errors, never silent truncation.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, islice
 
 from .errors import BudgetExceededError
 from .flow import RetentionRatio, feasible, pair_requirements
@@ -17,42 +17,6 @@ from .solution import Solution
 
 DEFAULT_EDGE_BUDGET = 16
 DEFAULT_STEP_BUDGET = 5_000_000
-
-
-def enumerate_simple_path_edges(graph: DirectedGraph, u: int, v: int,
-                                budget: int = DEFAULT_STEP_BUDGET) -> frozenset[int]:
-    """Union of edges over all simple u-v paths, by unpruned exhaustive DFS."""
-    if u == v:
-        raise ValueError("endpoints must be distinct")
-    steps = budget
-    result: set[int] = set()
-    path_vertices = [u]
-    on_path = {u}
-    path_edges: list[int] = []
-    iters = [iter(graph.out_edges(u))]
-    while iters:
-        steps -= 1
-        if steps < 0:
-            raise BudgetExceededError("simple-path enumeration budget exceeded")
-        try:
-            eid, head = next(iters[-1])
-        except StopIteration:
-            iters.pop()
-            if path_edges:
-                path_edges.pop()
-                on_path.discard(path_vertices.pop())
-            continue
-        if head == v:
-            result.update(path_edges)
-            result.add(eid)
-            continue
-        if head in on_path:
-            continue
-        path_vertices.append(head)
-        on_path.add(head)
-        path_edges.append(eid)
-        iters.append(iter(graph.out_edges(head)))
-    return frozenset(result)
 
 
 def _simple_paths_in(graph: DirectedGraph, s: int, t: int, allowed: frozenset[int],
@@ -105,9 +69,12 @@ def edge_disjoint_paths_count(graph: DirectedGraph, s: int, t: int,
 
 
 def _mandatory_edges(graph: DirectedGraph, budget: int) -> list[int]:
-    return [e for e in range(graph.m)
-            if enumerate_simple_path_edges(graph, *graph.edges[e], budget=budget)
-            == frozenset({e})]
+    """Edges e = (u, v) that are the only simple u-v path. In a simple graph
+    a u-v path through (u, v) is that edge alone, so this is P(u, v) == {e};
+    the search stops at a second path."""
+    every = frozenset(range(graph.m))
+    return [e for e, (u, v) in enumerate(graph.edges)
+            if list(islice(_simple_paths_in(graph, u, v, every, [budget]), 2)) == [(e,)]]
 
 
 def _minimum_feasible(graph: DirectedGraph, requirements, budget_edges: int,

@@ -12,7 +12,7 @@ from . import oracle
 from .errors import McpsError, NotDspError, NotLspError
 from .flow import RetentionRatio, check_all_pairs
 from .graphs import DirectedGraph, EdgeSet
-from .lsp import DEFAULT_PATH_BUDGET, eas_family, is_lsp, meas_partition
+from .lsp import eas_family, is_lsp, meas_partition
 from .solution import Solution
 from .spdecomp import LEAF, PARALLEL, _postorder, _reduce, recognize_dsp
 
@@ -74,8 +74,7 @@ def _fold(nodes, postorder, alpha: RetentionRatio) -> tuple[set[int], int]:
     return kept, med_size
 
 
-def solve_lsp(graph: DirectedGraph, alpha: RetentionRatio,
-              budget: int = DEFAULT_PATH_BUDGET) -> Solution:
+def solve_lsp(graph: DirectedGraph, alpha: RetentionRatio) -> Solution:
     """Optimal solution on a laminar series-parallel graph.
 
     By P1 each maximal edge EAS set is a DSP whose terminals are the
@@ -88,8 +87,8 @@ def solve_lsp(graph: DirectedGraph, alpha: RetentionRatio,
 
     Raises NotLspError (carrying the verdict) on non-LSP input.
     """
-    blocks = meas_partition(graph, budget)
-    sets = eas_family(graph, budget).sets
+    blocks = meas_partition(graph)
+    sets = eas_family(graph).sets
     edges = graph.edges
     chosen: set[int] = set()
     med_size = 0
@@ -106,7 +105,7 @@ def solve_lsp(graph: DirectedGraph, alpha: RetentionRatio,
                     objective=len(chosen), mcps_star=len(chosen) - med_size)
 
 
-def solve_med(graph: DirectedGraph, budget: int = DEFAULT_PATH_BUDGET) -> Solution:
+def solve_med(graph: DirectedGraph) -> Solution:
     """Minimum equivalent digraph of a laminar series-parallel graph.
 
     This is the block decomposition of `solve_lsp` in the limit where every
@@ -117,10 +116,10 @@ def solve_med(graph: DirectedGraph, budget: int = DEFAULT_PATH_BUDGET) -> Soluti
 
     Raises NotLspError (carrying the verdict) on non-LSP input.
     """
-    verdict = is_lsp(graph, budget)
+    verdict = is_lsp(graph)
     if not verdict.is_lsp:
         raise NotLspError(verdict)
-    chosen = [e for e, s in enumerate(eas_family(graph, budget).sets) if len(s) == 1]
+    chosen = [e for e, s in enumerate(eas_family(graph).sets) if len(s) == 1]
     return Solution(edges=EdgeSet(chosen, graph.m), algorithm="med", alpha=None,
                     objective=len(chosen), mcps_star=0)
 
@@ -150,12 +149,11 @@ def _is_hamiltonian_cycle(graph: DirectedGraph, edge_set: EdgeSet) -> bool:
     return v == 0 and len(seen) == graph.n
 
 
-def extract_mscs_or_hamiltonian(graph: DirectedGraph,
-                                budget: int = DEFAULT_PATH_BUDGET) -> tuple[Solution, str]:
+def extract_mscs_or_hamiltonian(graph: DirectedGraph) -> tuple[Solution, str]:
     """MED plus a classification: "hamiltonian-cycle" when the result is a
     single directed cycle through all vertices, "mscs" when the input is
     strongly connected, else "not-strongly-connected"."""
-    sol = solve_med(graph, budget)
+    sol = solve_med(graph)
     if _is_strongly_connected(graph):
         if _is_hamiltonian_cycle(graph, sol.edges):
             return sol, "hamiltonian-cycle"
@@ -164,13 +162,12 @@ def extract_mscs_or_hamiltonian(graph: DirectedGraph,
 
 
 def mcps_star_value(graph: DirectedGraph, sol: Solution,
-                    oracle_budget: int = oracle.DEFAULT_EDGE_BUDGET,
-                    budget: int = DEFAULT_PATH_BUDGET) -> Optional[int]:
+                    oracle_budget: int = oracle.DEFAULT_EDGE_BUDGET) -> Optional[int]:
     """objective minus the MED size, when the MED size is computable:
     via the LSP solver on LSPs, via brute force on small general graphs,
     undefined (None) otherwise."""
-    if is_lsp(graph, budget).is_lsp:
-        med_size = solve_med(graph, budget).objective
+    if is_lsp(graph).is_lsp:
+        med_size = solve_med(graph).objective
     elif graph.m <= oracle_budget:
         med_size = len(oracle.brute_force_med(graph, oracle_budget))
     else:
@@ -179,8 +176,7 @@ def mcps_star_value(graph: DirectedGraph, sol: Solution,
 
 
 def solve(graph: DirectedGraph, alpha: RetentionRatio, mode: str = "auto",
-          oracle_budget: int = oracle.DEFAULT_EDGE_BUDGET,
-          budget: int = DEFAULT_PATH_BUDGET) -> Solution:
+          oracle_budget: int = oracle.DEFAULT_EDGE_BUDGET) -> Solution:
     """Dispatching entry point.
 
     auto tries DSP recognition, then the LSP check, then falls back to the
@@ -192,24 +188,24 @@ def solve(graph: DirectedGraph, alpha: RetentionRatio, mode: str = "auto",
 
     def _oracle_solution() -> Solution:
         brute = oracle.brute_force_mcps(graph, alpha, oracle_budget)
-        star = mcps_star_value(graph, brute, oracle_budget, budget)
+        star = mcps_star_value(graph, brute, oracle_budget)
         return Solution(edges=brute.edges, algorithm="oracle", alpha=alpha,
                         objective=brute.objective, mcps_star=star)
 
     if mode == "dsp":
         sol = solve_dsp(graph, alpha)
     elif mode == "lsp":
-        sol = solve_lsp(graph, alpha, budget)
+        sol = solve_lsp(graph, alpha)
     elif mode == "oracle":
         sol = _oracle_solution()
     elif graph.m == 0:
-        sol = solve_lsp(graph, alpha, budget)
+        sol = solve_lsp(graph, alpha)
     else:
         try:
             sol = solve_dsp(graph, alpha)
         except NotDspError:
-            if is_lsp(graph, budget).is_lsp:
-                sol = solve_lsp(graph, alpha, budget)
+            if is_lsp(graph).is_lsp:
+                sol = solve_lsp(graph, alpha)
             elif graph.m <= oracle_budget:
                 sol = _oracle_solution()
             else:

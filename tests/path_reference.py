@@ -1,0 +1,110 @@
+"""Independent simple-path references for the path-induced tests.
+
+`enumerate_simple_path_edges` is the unpruned exhaustive DFS, kept auditable
+by eye: every path test compares the library against it.
+`per_pair_path_induced` is the per-pair enumerator with a reach-target
+lookahead that `mcps.lsp` used before the path table walked one row per
+source; the budget tests compare step counts against it.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+
+from mcps import BudgetExceededError, DirectedGraph
+
+DEFAULT_STEP_BUDGET = 5_000_000
+
+
+def enumerate_simple_path_edges(graph: DirectedGraph, u: int, v: int,
+                                budget: int = DEFAULT_STEP_BUDGET) -> frozenset[int]:
+    """Union of edges over all simple u-v paths, by unpruned exhaustive DFS."""
+    if u == v:
+        raise ValueError("endpoints must be distinct")
+    steps = budget
+    result: set[int] = set()
+    path_vertices = [u]
+    on_path = {u}
+    path_edges: list[int] = []
+    iters = [iter(graph.out_edges(u))]
+    while iters:
+        steps -= 1
+        if steps < 0:
+            raise BudgetExceededError("simple-path enumeration budget exceeded")
+        try:
+            eid, head = next(iters[-1])
+        except StopIteration:
+            iters.pop()
+            if path_edges:
+                path_edges.pop()
+                on_path.discard(path_vertices.pop())
+            continue
+        if head == v:
+            result.update(path_edges)
+            result.add(eid)
+            continue
+        if head in on_path:
+            continue
+        path_vertices.append(head)
+        on_path.add(head)
+        path_edges.append(eid)
+        iters.append(iter(graph.out_edges(head)))
+    return frozenset(result)
+
+
+def per_pair_path_induced(graph: DirectedGraph, u: int, v: int, budget: int) -> frozenset[int]:
+    """Exact enumeration of simple u-v paths with a reach-v lookahead.
+
+    The lookahead ignores vertices already on the current path, so every
+    explored branch completes into at least one accepted path; total cost is
+    proportional to the number of simple paths, charged against the budget.
+    """
+    steps = budget
+    result: set[int] = set()
+    path_vertices = [u]
+    on_path = {u}
+    path_edges: list[int] = []
+    iters = [iter(graph.out_edges(u))]
+
+    def reaches_target(start: int) -> bool:
+        nonlocal steps
+        seen = {start}
+        queue = deque([start])
+        while queue:
+            w = queue.popleft()
+            steps -= 1
+            if steps < 0:
+                raise BudgetExceededError("path enumeration budget exceeded")
+            if w == v:
+                return True
+            for _, head in graph.out_edges(w):
+                if head not in seen and head not in on_path:
+                    seen.add(head)
+                    queue.append(head)
+        return False
+
+    while iters:
+        steps -= 1
+        if steps < 0:
+            raise BudgetExceededError("path enumeration budget exceeded")
+        try:
+            eid, head = next(iters[-1])
+        except StopIteration:
+            iters.pop()
+            if path_edges:
+                path_edges.pop()
+                on_path.discard(path_vertices.pop())
+            continue
+        if head == v:
+            result.update(path_edges)
+            result.add(eid)
+            continue
+        if head in on_path:
+            continue
+        if not reaches_target(head):
+            continue
+        path_vertices.append(head)
+        on_path.add(head)
+        path_edges.append(eid)
+        iters.append(iter(graph.out_edges(head)))
+    return frozenset(result)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -268,6 +269,39 @@ def test_budget_exit_4(capsys, tmp_path):
                        "--mode", "oracle")
     assert code == 4
     assert "budget" in err
+
+
+def test_path_budget_message_names_source_and_spend(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(mcps.lsp, "DEFAULT_PATH_BUDGET", 3)
+    k4 = tmp_path / "k4.el"
+    k4.write_text(to_edge_list(fixtures()["bidirected_K4"]))
+    code, out, err = run(capsys, "recognize", "--input", str(k4))
+    assert code == 4
+    assert out == ""
+    assert err == "budget exceeded: path enumeration budget exceeded: 9 steps from source 0\n"
+
+
+@pytest.mark.parametrize("header,code", [("10 0", 0), ("11 0", 2)])
+def test_header_vertex_cap(capsys, tmp_path, monkeypatch, header, code):
+    monkeypatch.setattr(mcps.graphs, "MAX_HEADER_VERTICES", 10)
+    path = tmp_path / "g.el"
+    path.write_text(header + "\n")
+    got, out, err = run(capsys, "stats", "--input", str(path))
+    assert got == code
+    if code == 2:
+        assert out == ""
+        assert err == "error: line 1: header vertex count 11 exceeds the limit of 10\n"
+
+
+def test_huge_header_exits_2_before_allocating(capsys, tmp_path):
+    path = tmp_path / "huge.el"
+    path.write_text("100000000 0\n")
+    started = time.perf_counter()
+    code, out, err = run(capsys, "stats", "--input", str(path))
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: line 1: header vertex count") and err.count("\n") == 1
 
 
 def test_solve_precondition_exit_3(capsys, w_file):

@@ -1,16 +1,18 @@
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import mcps
 from mcps import (BudgetExceededError, DirectedGraph, NotDspError, NotLspError,
                   RetentionRatio, check_p1, check_p2, eas_family,
                   find_w_subdivision, is_lsp, meas_partition, path_induced,
-                  recognize_dsp, solve_lsp, subdivide)
+                  recognize_dsp, solve_lsp, solve_med, subdivide)
 from mcps import oracle
-from mcps.lsp import _is_dsp_with_terminals
+import mcps.lsp as lsp_mod
+from mcps.lsp import _is_dsp_with_terminals, _iter_bits, _source_row
 from mcps.generators import fixtures, gen_random_dsp, gen_random_lsp
 
+from path_reference import enumerate_simple_path_edges, per_pair_path_induced
 from strategies import digraphs, dsp_graphs, lsp_graphs
 
 DAG3 = DirectedGraph(3, [(0, 1), (1, 2), (0, 2)])
@@ -31,10 +33,13 @@ def test_path_induced_rejects_equal_endpoints():
         path_induced(DAG3, 1, 1)
 
 
-def test_path_induced_budget_is_a_hard_error():
+def test_path_induced_budget_is_a_hard_error(monkeypatch):
+    # the row from 0 has 15 simple-path prefixes against a budget of 3 * (4 - 1)
+    monkeypatch.setattr(lsp_mod, "DEFAULT_PATH_BUDGET", 3)
     g = fixtures()["bidirected_K4"]
-    with pytest.raises(BudgetExceededError):
-        path_induced(g, 0, 3, budget=3)
+    with pytest.raises(BudgetExceededError,
+                       match=r"^path enumeration budget exceeded: 9 steps from source 0$"):
+        path_induced(g, 0, 3)
 
 
 def test_mu_values():
@@ -44,7 +49,7 @@ def test_mu_values():
     # the terminal edge s->t of the w_plus fixture is its endpoints' only simple path
     wp = fixtures()["w_plus"]
     assert eas_family(wp).mu(2) == 1
-    assert eas_family(wp).mu(2) == len(oracle.enumerate_simple_path_edges(wp, 1, 2))
+    assert eas_family(wp).mu(2) == len(enumerate_simple_path_edges(wp, 1, 2))
 
 
 @settings(max_examples=100, deadline=None)
@@ -54,18 +59,89 @@ def test_path_induced_matches_unpruned_enumeration(g):
         for t in range(g.n):
             if s != t:
                 assert path_induced(g, s, t) == \
-                    oracle.enumerate_simple_path_edges(g, s, t)
+                    enumerate_simple_path_edges(g, s, t)
 
 
 @settings(max_examples=60, deadline=None)
 @given(digraphs(max_n=6, max_m=10, acyclic=True))
 def test_dag_shortcut_matches_enumeration(g):
-    # same operation, but force the enumerative route by hiding acyclicity
+    # same operation, but force the row walk that cyclic graphs take
     for s in range(g.n):
+        row = _source_row(g, s)
         for t in range(g.n):
             if s != t:
-                from mcps.lsp import _path_induced_enum
-                assert path_induced(g, s, t) == _path_induced_enum(g, s, t, 10**6)
+                assert path_induced(g, s, t) == frozenset(_iter_bits(row[t]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(digraphs(max_n=6, max_m=14))
+@example(fixtures()["bidirected_K4"])
+@example(fixtures()["w_plus"])
+def test_row_walk_matches_per_pair_enumerations(g):
+    assume(not g.is_acyclic())
+    for s in range(g.n):
+        row = _source_row(g, s)
+        for t in range(g.n):
+            if s != t:
+                walked = frozenset(_iter_bits(row[t]))
+                assert walked == enumerate_simple_path_edges(g, s, t), (s, t)
+                assert walked == per_pair_path_induced(g, s, t, 10**6), (s, t)
+
+
+def _pair_steps(g, s, t):
+    """Smallest budget under which the per-pair enumeration of (s, t) ends."""
+    lo, hi = 0, 1
+    while True:
+        try:
+            per_pair_path_induced(g, s, t, hi)
+            break
+        except BudgetExceededError:
+            lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            per_pair_path_induced(g, s, t, mid)
+            hi = mid
+        except BudgetExceededError:
+            lo = mid
+    return hi
+
+
+@settings(max_examples=60, deadline=None)
+@given(digraphs(max_n=6, max_m=13))
+@example(fixtures()["bidirected_K4"])
+@example(fixtures()["block_chain"])
+def test_rows_fit_whenever_every_pair_fits(g):
+    # B is the tightest budget under which every per-pair enumeration ends;
+    # the per-source rows must then end under the same constant.
+    assume(not g.is_acyclic())
+    budget = max(_pair_steps(g, s, t) for s in range(g.n) for t in range(g.n) if s != t)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lsp_mod, "DEFAULT_PATH_BUDGET", budget)
+        is_lsp(DirectedGraph(g.n, g.edges))
+        eas_family(DirectedGraph(g.n, g.edges))
+
+
+def test_lsp_pipeline_walks_each_row_at_most_once(monkeypatch):
+    graphs = [gen_random_lsp(seed, blocks=4, block_edges=(3, 8), cyclic_prob=1.0,
+                             bipartite_prob=0.0) for seed in range(8)]
+    graphs += [g for g in fixtures().values() if not g.is_acyclic() and is_lsp(g).is_lsp]
+    assert len(graphs) >= 12
+    walked = []
+
+    def counting(graph, s):
+        walked.append(s)
+        return _source_row(graph, s)
+
+    monkeypatch.setattr(lsp_mod, "_source_row", counting)
+    alpha = RetentionRatio(1, 2)
+    for g in graphs:
+        fresh = DirectedGraph(g.n, g.edges)  # no cached rows or verdict
+        walked.clear()
+        assert is_lsp(fresh).is_lsp
+        solve_lsp(fresh, alpha)
+        solve_med(fresh)
+        assert walked and len(walked) == len(set(walked)) <= fresh.n, (g.edges, walked)
 
 
 def test_check_p1():
@@ -299,14 +375,13 @@ def test_gen_random_dsp_accepted_and_w_free():
 
 
 def test_oversized_dag_falls_back_to_per_pair_products(monkeypatch):
-    import mcps.lsp as lsp_mod
     monkeypatch.setattr(lsp_mod, "_MASK_LIMIT_BITS", 10)
     g = gen_random_dsp(3, 10)
     for s in range(g.n):
         for t in range(g.n):
             if s != t:
                 assert lsp_mod.path_induced(g, s, t) == \
-                    oracle.enumerate_simple_path_edges(g, s, t)
+                    enumerate_simple_path_edges(g, s, t)
     assert lsp_mod.check_p1(g) == (True, None)
     with pytest.raises(BudgetExceededError):
         lsp_mod.eas_family(g)

@@ -1,6 +1,7 @@
 """Metamorphic relations of the exact solvers: the objective and mcps_star
-do not depend on vertex names or edge order, and the objective does not
-decrease as the retention ratio grows."""
+do not depend on vertex names or edge order, the objective does not
+decrease as the retention ratio grows, and one edge that takes an LSP out
+of the class hands it to the oracle with the oracle's optimum."""
 
 import random
 
@@ -8,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcps import DirectedGraph, is_lsp, solve_dsp, solve_lsp
-from mcps.generators import fixtures, gen_random_lsp
+from mcps import DirectedGraph, is_lsp, oracle, solve, solve_dsp, solve_lsp
+from mcps.generators import (SetCoverInstance, build_reduction, fixtures, gen_random_dsp,
+                             gen_random_lsp)
 
 from strategies import dsp_graphs, lsp_graphs
 from test_acceptance import ALPHAS
@@ -64,3 +66,70 @@ def test_cyclic_and_bipartite_lsp_relations():
                                          if is_lsp(g).is_lsp))
 def test_fixture_relations(name):
     _check_relations(fixtures()[name], solve_lsp, random.Random(name))
+
+
+def _near_miss(g, rng):
+    """g plus the first edge, in a random order of the missing pairs, that
+    breaks P1 or P2; None when every added edge keeps g an LSP."""
+    present = set(g.edges)
+    missing = [(u, v) for u in range(g.n) for v in range(g.n)
+               if u != v and (u, v) not in present]
+    rng.shuffle(missing)
+    for edge in missing:
+        h = DirectedGraph(g.n, [*g.edges, edge])
+        if not is_lsp(h).is_lsp:
+            return h
+    return None
+
+
+def _near_miss_bases():
+    """Oracle-sized LSPs (m <= 15) from every generator family and fixture;
+    the Set-Cover reductions this small are the ones on a one-item universe."""
+    families = {
+        "dsp": lambda seed: gen_random_dsp(seed, 4 + seed % 9),
+        "lsp-plain": lambda seed: gen_random_lsp(seed, blocks=3, block_edges=(2, 5),
+                                                 cyclic_prob=0.0, bipartite_prob=0.0),
+        "lsp-cyclic": lambda seed: gen_random_lsp(seed, blocks=3, block_edges=(2, 5),
+                                                  cyclic_prob=1.0, bipartite_prob=0.0),
+        "lsp-bipartite": lambda seed: gen_random_lsp(seed, blocks=2, block_edges=(2, 5),
+                                                     cyclic_prob=0.0, bipartite_prob=1.0),
+    }
+    bases = [("fixture", g) for _, g in sorted(fixtures().items())
+             if g.m <= 15 and is_lsp(g).is_lsp]
+    for family, make in families.items():
+        graphs = [g for g in map(make, range(40)) if g.m <= 15]
+        assert len(graphs) >= 5, family
+        bases += [(family, g) for g in graphs[:5]]
+    covers = [(SetCoverInstance(1, (frozenset({0}),)), 1),
+              (SetCoverInstance(1, (frozenset({0}), frozenset({0}))), 1),
+              (SetCoverInstance(1, (frozenset({0}),)), 2)]
+    for sc, p in covers:
+        g = build_reduction(sc, p=p).graph
+        assert g.m <= 15 and is_lsp(g).is_lsp
+        bases.append(("setcover", g))
+    return bases
+
+
+def test_near_miss_lsps_go_to_the_oracle():
+    rng = random.Random(2024)
+    broken = {"p1": 0, "p2": 0}
+    families = set()
+    for family, g in _near_miss_bases():
+        for alpha in ALPHAS:
+            assert solve_lsp(g, alpha).objective == \
+                oracle.brute_force_mcps(g, alpha).objective, (family, g.edges, str(alpha))
+        h = _near_miss(g, rng)
+        if h is None:
+            continue  # e.g. a directed cycle stays an LSP under any one chord
+        verdict = is_lsp(h)
+        assert not verdict.is_lsp and h.m <= 16
+        broken["p1" if verdict.p1_witness else "p2"] += 1
+        families.add(family)
+        for alpha in ALPHAS:
+            sol = solve(h, alpha)
+            assert sol.algorithm == "oracle", (family, h.edges)
+            assert sol.objective == oracle.brute_force_mcps(h, alpha).objective, \
+                (family, h.edges, str(alpha))
+    assert broken["p1"] >= 5 and broken["p2"] >= 5, broken
+    assert families == {"fixture", "dsp", "lsp-plain", "lsp-cyclic", "lsp-bipartite",
+                        "setcover"}

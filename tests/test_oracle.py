@@ -1,10 +1,14 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
 
 from mcps import BudgetExceededError, DirectedGraph, RetentionRatio, check_all_pairs
 from mcps import oracle
 from mcps.generators import fixtures
+
+from path_reference import enumerate_simple_path_edges
+from strategies import digraphs
 
 HALF = RetentionRatio(1, 2)
 DAG3 = DirectedGraph(3, [(0, 1), (1, 2), (0, 2)])
@@ -69,13 +73,13 @@ def test_mcps_minimality_against_random_smaller_subsets():
 
 def test_enumerate_simple_path_edges():
     c4 = fixtures()["C4"]
-    assert oracle.enumerate_simple_path_edges(c4, 0, 2) == {0, 1}
-    assert oracle.enumerate_simple_path_edges(fixtures()["W"], 0, 3) == set(range(5))
-    assert oracle.enumerate_simple_path_edges(DAG3, 0, 2) == {0, 1, 2}
+    assert enumerate_simple_path_edges(c4, 0, 2) == {0, 1}
+    assert enumerate_simple_path_edges(fixtures()["W"], 0, 3) == set(range(5))
+    assert enumerate_simple_path_edges(DAG3, 0, 2) == {0, 1, 2}
     with pytest.raises(ValueError):
-        oracle.enumerate_simple_path_edges(DAG3, 1, 1)
+        enumerate_simple_path_edges(DAG3, 1, 1)
     with pytest.raises(BudgetExceededError):
-        oracle.enumerate_simple_path_edges(fixtures()["bidirected_K4"], 0, 1, budget=2)
+        enumerate_simple_path_edges(fixtures()["bidirected_K4"], 0, 1, budget=2)
 
 
 def test_edge_disjoint_paths_count():
@@ -83,3 +87,15 @@ def test_edge_disjoint_paths_count():
     assert oracle.edge_disjoint_paths_count(DirectedGraph(2, [(0, 1)]), 0, 1) == 1
     assert oracle.edge_disjoint_paths_count(DirectedGraph(2, [(0, 1)]), 1, 0) == 0
     assert oracle.edge_disjoint_paths_count(fixtures()["w_plus"], 0, 3) == 3
+
+
+@settings(max_examples=100, deadline=None)
+@given(digraphs(max_n=6, max_m=12))
+@example(fixtures()["w_plus"])
+@example(fixtures()["bidirected_K4"])
+def test_mandatory_edges_match_their_definition(g):
+    # an edge is mandatory iff the union of all simple paths between its
+    # endpoints is that edge alone
+    expected = [e for e, (u, v) in enumerate(g.edges)
+                if enumerate_simple_path_edges(g, u, v) == {e}]
+    assert oracle._mandatory_edges(g, oracle.DEFAULT_STEP_BUDGET) == expected
