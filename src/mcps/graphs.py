@@ -10,6 +10,7 @@ computation reproducible.
 from __future__ import annotations
 
 from collections import deque
+from operator import index
 from typing import Iterable, Iterator, Optional
 
 from .errors import EdgeListParseError
@@ -37,7 +38,7 @@ class DirectedGraph:
                  labels: Optional[dict[int, str]] = None,
                  meta: Optional[dict] = None,
                  orig_index: Optional[tuple[int, ...]] = None):
-        edges = tuple((int(u), int(v)) for u, v in edges)
+        edges = tuple((index(u), index(v)) for u, v in edges)
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         seen = set()
@@ -201,7 +202,7 @@ class EdgeSet:
     __slots__ = ("m", "indices")
 
     def __init__(self, indices: Iterable[int], m: int):
-        idx = frozenset(int(i) for i in indices)
+        idx = frozenset(map(index, indices))
         for i in idx:
             if not (0 <= i < m):
                 raise ValueError(f"edge index {i} out of range for m={m}")
@@ -253,7 +254,7 @@ def _as_sorted_indices(edge_set, m: int) -> list[int]:
         if edge_set.m != m:
             raise ValueError(f"edge set is over m={edge_set.m}, host has m={m}")
         return edge_set.sorted()
-    indices = sorted(set(int(i) for i in edge_set))
+    indices = sorted(set(map(index, edge_set)))
     if indices and not (0 <= indices[0] and indices[-1] < m):
         raise ValueError("edge index out of range")
     return indices

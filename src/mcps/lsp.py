@@ -232,43 +232,96 @@ def check_p2(graph: DirectedGraph) -> tuple[bool, Optional[tuple[int, int]]]:
     raise AssertionError("owner scan reported a violation but none found")
 
 
-def _is_dsp_with_terminals(graph: DirectedGraph, edge_indices, s: int, t: int) -> bool:
-    # Each edge of P(s, t) lies on a simple s-t path, so s is the subgraph's
-    # only source and t its only sink, cyclic or not; the reduction alone
-    # then decides it (a cyclic subgraph never reduces to one route).
-    edges = graph.edges
-    _, remaining = _reduce(((i, *edges[i]) for i in edge_indices), s, t)
+def _reduces_to(triples, s: int, t: int) -> bool:
+    # Every route given lies on an s-t path, so s is the only source and t
+    # the only sink, cyclic or not; the reduction alone then decides whether
+    # the routes form a DSP on (s, t) (a cyclic graph never reduces to one
+    # route).
+    _, remaining = _reduce(triples, (s, t))
     return len(remaining) == 1 and remaining[0][:2] == (s, t)
+
+
+def _is_dsp_with_terminals(graph: DirectedGraph, edge_indices, s: int, t: int) -> bool:
+    edges = graph.edges
+    return _reduces_to(((i, *edges[i]) for i in edge_indices), s, t)
+
+
+def _first_failing_terminal_pair(graph: DirectedGraph, sources: list[int],
+                                 sinks: list[int]):
+    """The first source x sink pair (sources, then sinks, in id order) whose
+    P(s, t) is not a DSP on (s, t), or None, on a DAG, from one shared
+    reduction; _TOO_BIG when the core's masks would not fit the size cap.
+
+    The whole DAG is reduced once with every source and sink protected, and
+    each pair is decided on the routes left (the core). On a DAG an edge is
+    in P(s, t) iff s reaches its tail and its head reaches t, and a route of
+    the workspace stands for edges that all share that status: two parallel
+    routes join the same vertices, and a contracted vertex v (in = out = 1,
+    neither a source nor a sink) is reached from s iff its only predecessor
+    is and reaches t iff its only successor does. So every step of the
+    shared reduction is a step of P(s, t)'s own reduction or touches none of
+    its edges; the core routes in P(s, t) are `from_core[s] & to_core[t]`,
+    the closure masks of the core read as a graph on the host's vertices;
+    and by confluence (see `spdecomp`) reducing them with (s, t) protected
+    ends as reducing P(s, t) itself would. A pair with at most one core
+    route needs no reduction: a single route on an s-t path is (s, t).
+
+    A source has no in-route and a sink no out-route at any point of a
+    reduction, so neither is ever eligible for a series step; protecting
+    them states the terminals rather than changing the result.
+    """
+    keep = set(sources)
+    keep.update(sinks)
+    _, core = _reduce(((i, u, v) for i, (u, v) in enumerate(graph.edges)), keep)
+    core_graph = DirectedGraph(graph.n, [(x, y) for x, y, _ in core])
+    masks = _closure_edge_masks(core_graph)
+    if masks is _TOO_BIG:
+        return _TOO_BIG
+    from_core, to_core = masks
+    routes = [(k, x, y) for k, (x, y) in enumerate(core_graph.edges)]
+    for s in sources:
+        reach = from_core[s]
+        if not reach:
+            continue
+        for t in sinks:
+            mask = reach & to_core[t]
+            if mask & (mask - 1) and not _reduces_to(
+                    [routes[k] for k in _iter_bits(mask)], s, t):
+                return s, t
+    return None
 
 
 def check_p1(graph: DirectedGraph) -> tuple[bool, Optional[tuple[int, int]]]:
     """Every pair's path-induced subgraph is a DSP with those terminals or
     empty; witness is the first failing (s, t) in id order.
 
-    Each P(s, t) comes from the one path table (`_pair_edges`): closure
-    masks on DAGs, one walk per source on cyclic graphs. Each nonempty one
-    is decided by one in-place series-parallel reduction on the host's
-    vertex ids (`spdecomp._reduce`), with no subgraph, cycle search or
-    decomposition tree built for it.
+    Each nonempty P(s, t) is decided by an in-place series-parallel
+    reduction on the host's vertex ids (`spdecomp._reduce`), with no
+    subgraph, cycle search or decomposition tree built for it.
 
     On DAGs only source x sink pairs need recognition: every nonempty
     P(s, t) embeds in some P(source, sink) there, and pair subgraphs of a
-    DSP are again DSPs, so those recognitions decide all pairs at once.
-    A failing DAG is then rescanned pair by pair for the id-order witness,
-    but only up to n = _CANONICAL_RESCAN_LIMIT; above it the witness is the
-    first failing source x sink pair (sources, then sinks, in id order),
-    which need not be the first failing pair in id order. Cyclic graphs go
-    straight to the pair-by-pair scan, at every size.
+    DSP are again DSPs, so those recognitions decide all pairs at once. They
+    share one reduction of the whole DAG (`_first_failing_terminal_pair`),
+    and each pair reduces only the routes that one leaves. A failing DAG is
+    then rescanned pair by pair on the path table (`_pair_edges`) for the
+    id-order witness, but only up to n = _CANONICAL_RESCAN_LIMIT; above it
+    the witness is the first failing source x sink pair (sources, then
+    sinks, in id order), which need not be the first failing pair in id
+    order. Cyclic graphs go straight to the pair-by-pair scan, at every
+    size, reading each P(s, t) from one walk per source.
     """
     def fails(s, t):
         edges = _pair_edges(graph, s, t)
         return edges and not _is_dsp_with_terminals(graph, _iter_bits(edges), s, t)
 
     failing = None
-    if _closure_edge_masks(graph) is not None:
-        sinks = graph.sinks()
-        failing = next(((s, t) for s in graph.sources() for t in sinks
-                        if s != t and fails(s, t)), None)
+    if graph.is_acyclic():
+        sources, sinks = graph.sources(), graph.sinks()
+        failing = _first_failing_terminal_pair(graph, sources, sinks)
+        if failing is _TOO_BIG:
+            failing = next(((s, t) for s in sources for t in sinks
+                            if s != t and fails(s, t)), None)
         if failing is None:
             return True, None
         if graph.n > _CANONICAL_RESCAN_LIMIT:

@@ -308,3 +308,11 @@ _CALLS = {
 def test_flow_api_rejects_indices_outside_the_host(call, indices):
     with pytest.raises(ValueError):
         call(indices)
+
+
+def test_flow_api_rejects_non_integer_edge_indices():
+    # int() would truncate [0.7, 1.2] to edges {0, 1}, the path 0 -> 1 -> 2
+    triangle = DirectedGraph(3, [(0, 1), (1, 2), (0, 2)])
+    with pytest.raises(TypeError):
+        max_flow_value(triangle, 0, 2, edges=[0.7, 1.2])
+    assert max_flow_value(triangle, 0, 2, edges=[0, 1]) == 1

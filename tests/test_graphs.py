@@ -98,6 +98,23 @@ def test_edge_set_semantics():
         EdgeSet([5], 5)
 
 
+def test_constructor_rejects_non_integer_vertex_ids():
+    # int() would truncate 0.5 to vertex 0 and build the edge (0, 1)
+    with pytest.raises(TypeError):
+        DirectedGraph(3, [(0.5, 1), (1, 2)])
+    with pytest.raises(TypeError):
+        DirectedGraph(3, [("0", 1)])
+
+
+def test_edge_set_rejects_non_integer_indices():
+    # int() would read [1.9, True] as the single index 1
+    with pytest.raises(TypeError):
+        EdgeSet([1.9, True], 3)
+    with pytest.raises(TypeError):
+        EdgeSet(["1"], 3)
+    assert EdgeSet([True], 3) == EdgeSet([1], 3)  # bool is an int subtype
+
+
 @settings(max_examples=80)
 @given(digraphs())
 def test_parse_serialize_round_trip(g):

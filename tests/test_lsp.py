@@ -162,10 +162,76 @@ def _check_p1_naive(g):
     return True, None
 
 
+def _relabeled(g, perm):
+    """g with vertex v renamed perm[v], so topological and id order differ."""
+    return DirectedGraph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
 @settings(max_examples=80, deadline=None)
-@given(digraphs(max_n=6, max_m=10, acyclic=True))
-def test_check_p1_dag_shortcut_agrees_with_pairwise_scan(g):
+@given(digraphs(max_n=9, max_m=16, acyclic=True), st.data())
+def test_check_p1_dag_shortcut_agrees_with_pairwise_scan(g, data):
+    g = _relabeled(g, data.draw(st.permutations(range(g.n))))
     assert check_p1(g) == _check_p1_naive(g)
+
+
+def _first_failing_terminal_pair_naive(g):
+    for s in g.sources():
+        for t in g.sinks():
+            if s == t:
+                continue
+            edges = path_induced(g, s, t)
+            if edges and not _is_dsp_with_terminals(g, edges, s, t):
+                return s, t
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(digraphs(max_n=9, max_m=16, acyclic=True), st.data())
+def test_check_p1_source_sink_witness_without_rescan(g, data):
+    # With the id-order rescan off, the witness is the first failing
+    # source x sink pair, decided on the shared reduction's core, or pair by
+    # pair on the host when a mask cap of 0 leaves the core no masks.
+    g = _relabeled(g, data.draw(st.permutations(range(g.n))))
+    witness = _first_failing_terminal_pair_naive(g)
+    for mask_limit in (lsp_mod._MASK_LIMIT_BITS, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lsp_mod, "_CANONICAL_RESCAN_LIMIT", 0)
+            mp.setattr(lsp_mod, "_MASK_LIMIT_BITS", mask_limit)
+            assert check_p1(DirectedGraph(g.n, g.edges)) == (witness is None, witness)
+
+
+def test_p2_and_every_block_dsp_do_not_imply_p1():
+    # P2 holds and every maximal EAS block is a DSP on its defining edge,
+    # yet P(0, 6) spans two blocks and contains W: pairs whose paths cross
+    # blocks must still be checked.
+    g = DirectedGraph(7, [(0, 1), (0, 2), (1, 3), (1, 6), (2, 3), (3, 4), (3, 6), (4, 6)])
+    assert check_p2(g) == (True, None)
+    assert check_p1(g) == (False, (0, 6))
+    assert not is_lsp(g).is_lsp
+
+
+def test_check_p1_reduces_a_dag_once_then_only_core_routes(monkeypatch):
+    calls = []
+
+    def counting(triples, keep):
+        triples = list(triples)
+        nodes, remaining = real_reduce(triples, keep)
+        calls.append((len(triples), len(remaining)))
+        return nodes, remaining
+
+    real_reduce = lsp_mod._reduce
+    monkeypatch.setattr(lsp_mod, "_reduce", counting)
+    checked = 0
+    for seed in range(8):
+        g = gen_random_lsp(seed, blocks=5, block_edges=(3, 10), cyclic_prob=0,
+                           bipartite_prob=0.3)
+        calls.clear()
+        assert check_p1(DirectedGraph(g.n, g.edges)) == (True, None)
+        (first_in, core), *later = calls
+        assert first_in == g.m and sum(size == g.m for size, _ in calls) == 1
+        assert all(size <= core for size, _ in later), (seed, core, later)
+        checked += bool(later)
+    assert checked  # some graph needed per-pair reductions on its core
 
 
 def _recognized_terminals(g, edges):
