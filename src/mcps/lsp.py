@@ -237,7 +237,7 @@ def _reduces_to(triples, s: int, t: int) -> bool:
     # the only sink, cyclic or not; the reduction alone then decides whether
     # the routes form a DSP on (s, t) (a cyclic graph never reduces to one
     # route).
-    _, remaining = _reduce(triples, (s, t))
+    _, remaining = _reduce(triples)
     return len(remaining) == 1 and remaining[0][:2] == (s, t)
 
 
@@ -247,44 +247,31 @@ def _is_dsp_with_terminals(graph: DirectedGraph, edge_indices, s: int, t: int) -
 
 
 def _first_failing_terminal_pair(graph: DirectedGraph, sources: list[int],
-                                 sinks: list[int]):
+                                 sinks: list[int]) -> Optional[tuple[int, int]]:
     """The first source x sink pair (sources, then sinks, in id order) whose
     P(s, t) is not a DSP on (s, t), or None, on a DAG, from one shared
-    reduction; _TOO_BIG when the core's masks would not fit the size cap.
+    reduction.
 
-    The whole DAG is reduced once with every source and sink protected, and
-    each pair is decided on the routes left (the core). On a DAG an edge is
-    in P(s, t) iff s reaches its tail and its head reaches t, and a route of
-    the workspace stands for edges that all share that status: two parallel
-    routes join the same vertices, and a contracted vertex v (in = out = 1,
-    neither a source nor a sink) is reached from s iff its only predecessor
-    is and reaches t iff its only successor does. So every step of the
-    shared reduction is a step of P(s, t)'s own reduction or touches none of
-    its edges; the core routes in P(s, t) are `from_core[s] & to_core[t]`,
-    the closure masks of the core read as a graph on the host's vertices;
-    and by confluence (see `spdecomp`) reducing them with (s, t) protected
-    ends as reducing P(s, t) itself would. A pair with at most one core
-    route needs no reduction: a single route on an s-t path is (s, t).
-
-    A source has no in-route and a sink no out-route at any point of a
-    reduction, so neither is ever eligible for a series step; protecting
-    them states the terminals rather than changing the result.
+    The whole DAG is reduced once, and each pair is decided on the routes
+    left (the core). On a DAG an edge is in P(s, t) iff s reaches its tail
+    and its head reaches t, and a route of the workspace stands for edges
+    that all share that status: two parallel routes join the same vertices,
+    and a contracted vertex v (in = out = 1, so neither a source nor a sink)
+    is reached from s iff its only predecessor is and reaches t iff its
+    only successor does. So every step of the shared reduction is a step of
+    P(s, t)'s own reduction or touches none of its edges; the core routes in
+    P(s, t) are the core's own P(s, t), read from the path table of the core
+    as a graph on the host's vertices (`_pair_edges`); and by confluence
+    (see `spdecomp`) reducing them ends as reducing P(s, t) itself would. A
+    pair with at most one core route needs no reduction: a single route on
+    an s-t path is (s, t).
     """
-    keep = set(sources)
-    keep.update(sinks)
-    _, core = _reduce(((i, u, v) for i, (u, v) in enumerate(graph.edges)), keep)
+    _, core = _reduce((i, u, v) for i, (u, v) in enumerate(graph.edges))
     core_graph = DirectedGraph(graph.n, [(x, y) for x, y, _ in core])
-    masks = _closure_edge_masks(core_graph)
-    if masks is _TOO_BIG:
-        return _TOO_BIG
-    from_core, to_core = masks
     routes = [(k, x, y) for k, (x, y) in enumerate(core_graph.edges)]
     for s in sources:
-        reach = from_core[s]
-        if not reach:
-            continue
         for t in sinks:
-            mask = reach & to_core[t]
+            mask = _pair_edges(core_graph, s, t)
             if mask & (mask - 1) and not _reduces_to(
                     [routes[k] for k in _iter_bits(mask)], s, t):
                 return s, t
@@ -319,9 +306,6 @@ def check_p1(graph: DirectedGraph) -> tuple[bool, Optional[tuple[int, int]]]:
     if graph.is_acyclic():
         sources, sinks = graph.sources(), graph.sinks()
         failing = _first_failing_terminal_pair(graph, sources, sinks)
-        if failing is _TOO_BIG:
-            failing = next(((s, t) for s in sources for t in sinks
-                            if s != t and fails(s, t)), None)
         if failing is None:
             return True, None
         if graph.n > _CANONICAL_RESCAN_LIMIT:

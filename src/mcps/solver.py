@@ -95,7 +95,7 @@ def solve_lsp(graph: DirectedGraph, alpha: RetentionRatio) -> Solution:
     for block in blocks:
         defining = next(e for e in block if len(sets[e]) == len(block))
         s, t = edges[defining]
-        nodes, remaining = _reduce(((e, *edges[e]) for e in block), (s, t))
+        nodes, remaining = _reduce((e, *edges[e]) for e in block)
         assert len(remaining) == 1 and remaining[0][:2] == (s, t), \
             f"LSP block of edge {defining} is not a DSP on its endpoints"
         kept, block_med = _fold(nodes, _postorder(nodes, remaining[0][2]), alpha)

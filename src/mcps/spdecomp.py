@@ -12,19 +12,18 @@ confluent on acyclic single-source single-sink graphs, so getting stuck
 proves the graph is not series-parallel; the stuck core is then handed to
 the W-subdivision search for a best-effort witness.
 
-The kernel protects a set of vertices, `keep`, from series steps: for
-recognition that is the terminal pair, and the P1 check protects every
-source and sink of a DAG at once. The reduction is confluent (Valdes,
-Tarjan and Lawler, 1982) for any protected set on an acyclic workspace. A
-series step at v replaces the routes (x, v) and (v, y) by one route (x, y),
-merged into an existing (x, y) if there is one, so only x's out-degree and
-y's in-degree can change, and they fall only through a merge, which needs
-two routes from x and two into y. So every other eligible vertex stays
-eligible, and contracting two eligible vertices in either order leaves the
-same routes: every order of steps ends in the same routes. A reduction can
-therefore be split: reducing a graph first with a larger protected set and
-then the routes left with a smaller one ends where a single reduction with
-the smaller set ends, since every step of the first is a step of the second.
+Only vertices with in-degree = out-degree = 1 are contracted, so a source
+(in-degree 0) or a sink (out-degree 0) of the input is never eligible for a
+series step, and no step makes it eligible: a series step at v replaces the
+routes (x, v) and (v, y) by one route (x, y), merged into an existing (x, y)
+if there is one, so only x's out-degree and y's in-degree can change, and
+they can only fall. The terminals of a two-terminal input and every source
+and sink of a DAG thus stay in place without being named. The reduction is
+confluent on an acyclic workspace (Valdes, Tarjan and Lawler, 1982): a
+degree falls only through a merge, which needs two routes from x and two
+into y, so every other eligible vertex stays eligible, and contracting two
+eligible vertices in either order leaves the same routes. Every order of
+steps therefore ends in the same routes.
 
 No cycle search runs before the reduction. A series step turns a cycle
 through the contracted vertex into a shorter cycle (a self-loop at worst),
@@ -42,7 +41,7 @@ import heapq
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Container, Iterable, Optional
+from typing import Iterable, Optional
 
 from .errors import BudgetExceededError, NotDspError
 from .graphs import DirectedGraph, EdgeSet
@@ -190,22 +189,22 @@ def _postorder(nodes: list[_Node], root: int) -> list[int]:
     return order
 
 
-def _reduce(triples: Iterable[tuple[int, int, int]],
-            keep: Container[int]) -> tuple[list[_Node], list[tuple[int, int, int]]]:
-    """Series-parallel reduction of the routes given as (edge id, tail, head),
-    with the vertices in `keep` protected.
+def _reduce(triples: Iterable[tuple[int, int, int]]
+            ) -> tuple[list[_Node], list[tuple[int, int, int]]]:
+    """Series-parallel reduction of the routes given as (edge id, tail, head).
 
-    A series step contracts a vertex outside `keep` with in- and out-degree
-    1, and a parallel merge joins a new route to the routes with its tail
-    and head. Returns the tree nodes (one leaf per triple, in triple order,
-    then the S and P nodes in creation order) and the routes left when no
-    step applies, as (tail, head, node index). With keep = (s, t) the input
-    is a DSP with terminals s and t iff exactly one route remains and it is
-    (s, t); its node is then the root. Contraction picks the lowest eligible
-    vertex id first and a parallel merge appends the newer route after the
-    older ones, so the result is deterministic; by confluence (see the
-    module docstring) the routes left, though not the tree, are the same in
-    any order on acyclic inputs.
+    A series step contracts a vertex with in- and out-degree 1, and a
+    parallel merge joins a new route to the routes with its tail and head;
+    sources and sinks of the input are never contracted (see the module
+    docstring). Returns the tree nodes (one leaf per triple, in triple
+    order, then the S and P nodes in creation order) and the routes left
+    when no step applies, as (tail, head, node index). An input whose only
+    source is s and only sink is t is a DSP with terminals s and t iff
+    exactly one route remains and it is (s, t); its node is then the root.
+    Contraction picks the lowest eligible vertex id first and a parallel
+    merge appends the newer route after the older ones, so the result is
+    deterministic; by confluence the routes left, though not the tree, are
+    the same in any order on acyclic inputs.
     """
     nodes: list[_Node] = []
     out: defaultdict[int, dict[int, int]] = defaultdict(dict)
@@ -215,7 +214,7 @@ def _reduce(triples: Iterable[tuple[int, int, int]],
         nodes.append(_Node(LEAF, (), eid, u, v))
 
     heap = [v for v, succ in out.items()
-            if v not in keep and len(succ) == 1 and len(inn[v]) == 1]
+            if len(succ) == 1 and len(inn[v]) == 1]
     heapq.heapify(heap)
     while heap:
         v = heapq.heappop(heap)
@@ -240,7 +239,7 @@ def _reduce(triples: Iterable[tuple[int, int, int]],
             out[x][y] = inn[y][x] = len(nodes)
             nodes.append(_Node(PARALLEL, [old, new], -1, x, y))
         for w in (x, y):
-            if w not in keep and len(out[w]) == 1 and len(inn[w]) == 1:
+            if len(out[w]) == 1 and len(inn[w]) == 1:
                 heapq.heappush(heap, w)
 
     remaining = [(x, y, i) for x, succ in out.items() for y, i in succ.items()]
@@ -262,7 +261,7 @@ def recognize_dsp(graph: DirectedGraph,
     if len(srcs) == 1 and len(snks) == 1:
         s, t = srcs[0], snks[0]
         nodes, remaining = _reduce(
-            ((i, u, v) for i, (u, v) in enumerate(graph.edges)), (s, t))
+            (i, u, v) for i, (u, v) in enumerate(graph.edges))
         if len(remaining) == 1 and remaining[0][:2] == (s, t):
             return DecompositionTree(graph, nodes, remaining[0][2])
     cycle = graph.find_cycle()

@@ -189,8 +189,9 @@ def _first_failing_terminal_pair_naive(g):
 @given(digraphs(max_n=9, max_m=16, acyclic=True), st.data())
 def test_check_p1_source_sink_witness_without_rescan(g, data):
     # With the id-order rescan off, the witness is the first failing
-    # source x sink pair, decided on the shared reduction's core, or pair by
-    # pair on the host when a mask cap of 0 leaves the core no masks.
+    # source x sink pair, decided on the shared reduction's core, whether
+    # the core's path table comes from closure masks or, under a mask cap
+    # of 0, from per-pair reachability products.
     g = _relabeled(g, data.draw(st.permutations(range(g.n))))
     witness = _first_failing_terminal_pair_naive(g)
     for mask_limit in (lsp_mod._MASK_LIMIT_BITS, 0):
@@ -213,9 +214,9 @@ def test_p2_and_every_block_dsp_do_not_imply_p1():
 def test_check_p1_reduces_a_dag_once_then_only_core_routes(monkeypatch):
     calls = []
 
-    def counting(triples, keep):
+    def counting(triples):
         triples = list(triples)
-        nodes, remaining = real_reduce(triples, keep)
+        nodes, remaining = real_reduce(triples)
         calls.append((len(triples), len(remaining)))
         return nodes, remaining
 

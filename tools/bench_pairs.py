@@ -12,10 +12,11 @@ BENCHMARK.json (`python3 perfbench/run.py`) once on each side with seed
 the base first in even pairs and the change first in odd ones.
 
 The output holds every run's metrics and, per workload and metric, each
-side's median and quartiles, how many pairs the change won (ties count for
-neither side) and two verdicts: `gain` (the change won at least 9 of every
-10 pairs and the medians differ by more than the base's interquartile
-range) and `within_bound` (the change's median is no worse than the base's
+side's median and quartiles, how many pairs the change won (ties and pairs
+with a failed run count for neither side) and two verdicts: `gain` (at
+least 10 pairs were run, the change won at least 9 of every 10 of them and
+the medians differ by more than the base's interquartile range) and
+`within_bound` (the change's median is no worse than the base's
 by more than the metric's bound in BENCHMARK.json). With --trace 1 the runs
 are traced and the metrics are the per-layer ones.
 
@@ -101,7 +102,8 @@ def summarise(pairs: list[dict], better: dict[str, str], bounds: dict[str, float
                  "change": {"median": cmed, "q1": cq1, "q3": cq3},
                  "change_wins": wins, "base_wins": losses,
                  "median_ratio": cmed / bmed if bmed else None,
-                 "gain": (wins >= 0.9 * len(rows) and sign * (cmed - bmed) > bq3 - bq1)}
+                 "gain": (len(pairs) >= 10 and wins >= 0.9 * len(pairs)
+                          and sign * (cmed - bmed) > bq3 - bq1)}
         if name in bounds:
             entry["bound"] = bounds[name]
             entry["within_bound"] = sign * (cmed - bmed) >= -bounds[name] * abs(bmed)
@@ -123,7 +125,6 @@ def parse_args(argv):
     parser.add_argument("--seed", type=int, default=1, help="seed of pair 0")
     parser.add_argument("--seconds", type=float, default=None)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--out", default=None, help="output path (default: repo root)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be positive")
@@ -181,7 +182,7 @@ def main(argv=None) -> int:
         shutil.rmtree(tmp, ignore_errors=True)
     provenance["finished"] = datetime.datetime.now(
         datetime.timezone.utc).isoformat(timespec="seconds")
-    out = args.out or os.path.join(ROOT, f"BENCH_{args.label}.json")
+    out = os.path.join(ROOT, f"BENCH_{args.label}.json")
     with open(out, "w", encoding="utf-8") as fh:
         json.dump({"label": args.label, "provenance": provenance, "workloads": results},
                   fh, indent=1, sort_keys=True)
