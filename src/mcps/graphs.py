@@ -9,7 +9,6 @@ computation reproducible.
 
 from __future__ import annotations
 
-from collections import deque
 from operator import index
 from typing import Iterable, Iterator, Optional
 
@@ -19,6 +18,16 @@ from .errors import EdgeListParseError
 # adjacency lists for every declared vertex before any edge is read, so an
 # unchecked header would let a few bytes of input claim gigabytes.
 MAX_HEADER_VERTICES = 1_000_000
+
+
+class _InvalidEdge(ValueError):
+    """An edge the constructor rejects: its position in the input and the
+    reason, worded as an edge-list parse error reports it."""
+
+    def __init__(self, edge: int, reason: str):
+        super().__init__(f"edge {edge}: {reason}")
+        self.edge = edge
+        self.reason = reason
 
 
 class DirectedGraph:
@@ -38,31 +47,31 @@ class DirectedGraph:
                  labels: Optional[dict[int, str]] = None,
                  meta: Optional[dict] = None,
                  orig_index: Optional[tuple[int, ...]] = None):
-        edges = tuple((index(u), index(v)) for u, v in edges)
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        seen = set()
+        out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        inc: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        # One pass: the edge-index dict is also the duplicate check, and its
+        # insertion order is the edge order.
+        edge_index: dict[tuple[int, int], int] = {}
         for i, (u, v) in enumerate(edges):
+            u, v = index(u), index(v)
             if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge {i} endpoint out of range: ({u}, {v})")
+                raise _InvalidEdge(i, f"vertex id out of range 0..{n - 1}")
             if u == v:
-                raise ValueError(f"edge {i} is a self-loop at {u}")
-            if (u, v) in seen:
-                raise ValueError(f"edge {i} duplicates ({u}, {v})")
-            seen.add((u, v))
+                raise _InvalidEdge(i, f"self-loop at {u}")
+            if edge_index.setdefault((u, v), i) != i:
+                raise _InvalidEdge(i, f"duplicate edge ({u}, {v})")
+            out[u].append((i, v))
+            inc[v].append((i, u))
         self.n = n
-        self.edges = edges
+        self.edges = tuple(edge_index)
         self.labels = dict(labels) if labels else {}
         self.meta = dict(meta) if meta else {}
         self.orig_index = orig_index
-        out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        inc: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for i, (u, v) in enumerate(edges):
-            out[u].append((i, v))
-            inc[v].append((i, u))
         self._out = out
         self._in = inc
-        self._edge_index = {e: i for i, e in enumerate(edges)}
+        self._edge_index = edge_index
         self._cache: dict = {}
 
     @property
@@ -91,30 +100,23 @@ class DirectedGraph:
 
     def reachable_from(self, u: int) -> set[int]:
         """Vertices reachable from u via directed edges, including u."""
-        if not (0 <= u < self.n):
-            raise ValueError(f"vertex {u} out of range")
-        seen = {u}
-        queue = deque([u])
-        while queue:
-            w = queue.popleft()
-            for _, head in self._out[w]:
-                if head not in seen:
-                    seen.add(head)
-                    queue.append(head)
-        return seen
+        return self._search(u, self._out)
 
     def reaching(self, v: int) -> set[int]:
         """Vertices that reach v via directed edges, including v."""
-        if not (0 <= v < self.n):
-            raise ValueError(f"vertex {v} out of range")
-        seen = {v}
-        queue = deque([v])
-        while queue:
-            w = queue.popleft()
-            for _, tail in self._in[w]:
-                if tail not in seen:
-                    seen.add(tail)
-                    queue.append(tail)
+        return self._search(v, self._in)
+
+    def _search(self, root: int, adjacency: list[list[tuple[int, int]]]) -> set[int]:
+        """Vertices found from root by a BFS along `adjacency` (_out or _in)."""
+        if not (0 <= root < self.n):
+            raise ValueError(f"vertex {root} out of range")
+        seen = {root}
+        queue = [root]
+        for w in queue:  # visits what the loop appends, in BFS order
+            for _, x in adjacency[w]:
+                if x not in seen:
+                    seen.add(x)
+                    queue.append(x)
         return seen
 
     def spanning_subgraph(self, edge_set: "EdgeSet | Iterable[int]") -> "DirectedGraph":
@@ -254,18 +256,17 @@ def _as_sorted_indices(edge_set, m: int) -> list[int]:
         if edge_set.m != m:
             raise ValueError(f"edge set is over m={edge_set.m}, host has m={m}")
         return edge_set.sorted()
-    indices = sorted(set(map(index, edge_set)))
-    if indices and not (0 <= indices[0] and indices[-1] < m):
-        raise ValueError("edge index out of range")
-    return indices
+    return EdgeSet(edge_set, m).sorted()
 
 
 def parse_edge_list(text: str) -> DirectedGraph:
     """Parse the edge-list format: header "n m", then m lines "tail head".
 
-    Lines starting with '#' are ignored. Errors name the offending 1-based
-    line of the original text. A header declaring more than
-    MAX_HEADER_VERTICES vertices is rejected on its own line.
+    Lines starting with '#' are ignored. Fields are ASCII decimal integers.
+    Errors name the offending 1-based line of the original text. A header
+    declaring more than MAX_HEADER_VERTICES vertices is rejected on its own
+    line. The edges themselves are checked by the DirectedGraph constructor,
+    whose rejection is reported at the edge's line.
     """
     header: Optional[tuple[int, int]] = None
     header_line = 0
@@ -278,8 +279,12 @@ def parse_edge_list(text: str) -> DirectedGraph:
         parts = line.split()
         if len(parts) != 2:
             raise EdgeListParseError(line_no, f"expected two fields, got {len(parts)}")
+        # int() alone would also read "1_0", "+1" and non-ASCII digits
+        x, y = parts
         try:
-            a, b = int(parts[0]), int(parts[1])
+            if "_" in line or "+" in line or not (x.isascii() and y.isascii()):
+                raise ValueError
+            a, b = int(x), int(y)
         except ValueError:
             raise EdgeListParseError(line_no, f"non-integer field in {line!r}") from None
         if header is None:
@@ -299,17 +304,13 @@ def parse_edge_list(text: str) -> DirectedGraph:
     if len(edges) != m:
         raise EdgeListParseError(header_line,
                                  f"header promises {m} edges, found {len(edges)}")
-    seen: dict[tuple[int, int], int] = {}
-    for (u, v), line_no in zip(edges, edge_lines):
-        if not (0 <= u < n and 0 <= v < n):
-            raise EdgeListParseError(line_no, f"vertex id out of range 0..{n - 1}")
-        if u == v:
-            raise EdgeListParseError(line_no, f"self-loop at {u}")
-        if (u, v) in seen:
-            raise EdgeListParseError(line_no,
-                                     f"duplicate edge ({u}, {v}), first on line {seen[u, v]}")
-        seen[(u, v)] = line_no
-    return DirectedGraph(n, edges)
+    try:
+        return DirectedGraph(n, edges)
+    except _InvalidEdge as err:
+        # a repeat of an earlier edge, which passed the other checks, is a duplicate
+        first = edges.index(edges[err.edge])
+        where = f", first on line {edge_lines[first]}" if first < err.edge else ""
+        raise EdgeListParseError(edge_lines[err.edge], err.reason + where) from None
 
 
 def to_edge_list(graph: DirectedGraph) -> str:

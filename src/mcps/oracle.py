@@ -2,16 +2,18 @@
 
 Everything here is deliberately naive so it can be audited by eye; the only
 optimization is mandatory-edge pruning (an edge that is the unique simple
-path between its endpoints belongs to every feasible solution). Budgets are
-hard errors, never silent truncation.
+path between its endpoints belongs to every feasible solution), decided by
+the package's one max-flow kernel. Budgets are hard errors, never silent
+truncation. The path-system search below is not used by the solvers: tests
+keep it as an independent reference for the flow values.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, islice
+from itertools import combinations
 
 from .errors import BudgetExceededError
-from .flow import RetentionRatio, feasible, pair_requirements
+from .flow import RetentionRatio, feasible, max_flow_value, pair_requirements
 from .graphs import DirectedGraph, EdgeSet
 from .solution import Solution
 
@@ -68,23 +70,21 @@ def edge_disjoint_paths_count(graph: DirectedGraph, s: int, t: int,
     return best(frozenset(range(graph.m)))
 
 
-def _mandatory_edges(graph: DirectedGraph, budget: int) -> list[int]:
+def _mandatory_edges(graph: DirectedGraph) -> list[int]:
     """Edges e = (u, v) that are the only simple u-v path. In a simple graph
-    a u-v path through (u, v) is that edge alone, so this is P(u, v) == {e};
-    the search stops at a second path."""
-    every = frozenset(range(graph.m))
+    any other simple u-v path avoids e, so e is the only one exactly when
+    the u-v max-flow is 1."""
     return [e for e, (u, v) in enumerate(graph.edges)
-            if list(islice(_simple_paths_in(graph, u, v, every, [budget]), 2)) == [(e,)]]
+            if max_flow_value(graph, u, v, limit=2) == 1]
 
 
-def _minimum_feasible(graph: DirectedGraph, requirements, budget_edges: int,
-                      step_budget: int) -> frozenset[int]:
+def _minimum_feasible(graph: DirectedGraph, requirements, budget_edges: int) -> frozenset[int]:
     """Smallest feasible superset of the mandatory edges, ties broken by the
     lexicographically smallest sorted index tuple (combinations order)."""
     if graph.m > budget_edges:
         raise BudgetExceededError(
             f"brute force limited to {budget_edges} edges, graph has {graph.m}")
-    mandatory = _mandatory_edges(graph, step_budget)
+    mandatory = _mandatory_edges(graph)
     base = frozenset(mandatory)
     free = [e for e in range(graph.m) if e not in base]
     for k in range(len(free) + 1):
@@ -96,18 +96,16 @@ def _minimum_feasible(graph: DirectedGraph, requirements, budget_edges: int,
 
 
 def brute_force_mcps(graph: DirectedGraph, alpha: RetentionRatio,
-                     budget: int = DEFAULT_EDGE_BUDGET,
-                     step_budget: int = DEFAULT_STEP_BUDGET) -> Solution:
+                     budget: int = DEFAULT_EDGE_BUDGET) -> Solution:
     """A minimum-cardinality feasible edge set, by enumeration."""
     requirements = pair_requirements(graph, alpha)
-    chosen = _minimum_feasible(graph, requirements, budget, step_budget)
+    chosen = _minimum_feasible(graph, requirements, budget)
     return Solution(edges=EdgeSet(chosen, graph.m), algorithm="oracle",
                     alpha=alpha, objective=len(chosen), mcps_star=None)
 
 
-def brute_force_med(graph: DirectedGraph, budget: int = DEFAULT_EDGE_BUDGET,
-                    step_budget: int = DEFAULT_STEP_BUDGET) -> EdgeSet:
+def brute_force_med(graph: DirectedGraph, budget: int = DEFAULT_EDGE_BUDGET) -> EdgeSet:
     """Minimum edge set preserving the reachability relation, by enumeration."""
     requirements = pair_requirements(graph, None, med=True)
-    chosen = _minimum_feasible(graph, requirements, budget, step_budget)
+    chosen = _minimum_feasible(graph, requirements, budget)
     return EdgeSet(chosen, graph.m)

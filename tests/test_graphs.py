@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcps import (DirectedGraph, EdgeSet, EdgeListParseError, parse_edge_list,
                   to_dot, to_edge_list)
@@ -31,6 +32,10 @@ def test_parse_comments_and_trailing_newline():
     ("2 1\n1 1", 2, "self-loop"),
     ("2 1\n0 1 2", 2, "two fields"),
     ("2 1\nx y", 2, "non-integer"),
+    ("12 1\n0 1_0", 2, "non-integer"),
+    ("3 1\n+1 2", 2, "non-integer"),
+    ("3 1\n1 \u0662", 2, "non-integer"),
+    ("+3 1\n1 2", 1, "non-integer"),
     ("2 2\n0 1", 1, "promises"),
 ])
 def test_parse_errors_name_the_line(text, line, needle):
@@ -54,6 +59,11 @@ def test_reachable_from():
     cycle = DirectedGraph(3, [(0, 1), (1, 2), (2, 0)])
     assert cycle.reachable_from(0) == {0, 1, 2}
     assert fixtures()["W"].reachable_from(3) == {3}
+    assert fixtures()["W"].reaching(3) == {0, 1, 2, 3}
+    assert fixtures()["W"].reaching(0) == {0}
+    for search in (cycle.reachable_from, cycle.reaching):
+        with pytest.raises(ValueError, match="vertex 3 out of range"):
+            search(3)
 
 
 def test_spanning_subgraph():
@@ -139,3 +149,85 @@ def test_reachability_monotone_under_edge_addition(g):
     bigger = DirectedGraph(g.n, list(g.edges) + [missing[0]])
     for v in range(g.n):
         assert g.reachable_from(v) <= bigger.reachable_from(v)
+
+
+@settings(max_examples=80)
+@given(digraphs(), st.data())
+def test_constructor_matches_a_reference_built_from_the_edge_list(g, data):
+    order = data.draw(st.permutations(range(g.m)))
+    edges = [g.edges[i] for i in order]
+    for given_edges in (edges, (e for e in edges)):  # a list, then a one-shot generator
+        built = DirectedGraph(g.n, given_edges)
+        assert built.edges == tuple(edges)
+        for v in range(g.n):
+            assert built.out_edges(v) == [(i, y) for i, (x, y) in enumerate(edges) if x == v]
+            assert built.in_edges(v) == [(i, x) for i, (x, y) in enumerate(edges) if y == v]
+            for u in range(g.n):
+                want = edges.index((u, v)) if (u, v) in edges else None
+                assert built.edge_index(u, v) == want
+                assert built.has_edge(u, v) == (want is not None)
+
+
+def _two_pass_parse_error(text):
+    """The edge checks of an edge-list parser that validates every edge in
+    its own loop before building the graph: the error it raises, or None."""
+    header = None
+    edges, edge_lines = [], []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        a, b = map(int, line.split())
+        if header is None:
+            header = (a, b)
+            continue
+        edges.append((a, b))
+        edge_lines.append(line_no)
+    n = header[0]
+    seen = {}
+    for (u, v), line_no in zip(edges, edge_lines):
+        if not (0 <= u < n and 0 <= v < n):
+            return EdgeListParseError(line_no, f"vertex id out of range 0..{n - 1}")
+        if u == v:
+            return EdgeListParseError(line_no, f"self-loop at {u}")
+        if (u, v) in seen:
+            return EdgeListParseError(line_no,
+                                      f"duplicate edge ({u}, {v}), first on line {seen[u, v]}")
+        seen[(u, v)] = line_no
+    return None
+
+
+@st.composite
+def edge_lists_with_one_bad_edge(draw):
+    """Edge-list text with comments and blank lines, holding one edge that is
+    out of range, a self-loop or a duplicate (adjacent to its original or not)."""
+    g = draw(digraphs(max_n=6, max_m=10))
+    edges = list(g.edges)
+    kind = draw(st.sampled_from(["range", "self-loop", "duplicate"]))
+    if kind == "duplicate" and not edges:
+        kind = "self-loop"
+    if kind == "range":
+        ids = st.integers(-3, g.n + 3)
+        bad = draw(st.tuples(ids, ids).filter(lambda e: not (0 <= min(e) and max(e) < g.n)))
+    elif kind == "self-loop":
+        u = draw(st.integers(0, g.n - 1))
+        bad = (u, u)
+    else:
+        bad = draw(st.sampled_from(edges))
+    edges.insert(draw(st.integers(0, len(edges))), bad)
+    lines = [f"{g.n} {len(edges)}"] + [f"{u} {v}" for u, v in edges]
+    noise = st.sampled_from(["", "   ", "# a comment", "  # 0 1", "\t"])
+    for _ in range(draw(st.integers(0, 6))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(noise))
+    return "\n".join(lines)
+
+
+@settings(max_examples=150)
+@given(edge_lists_with_one_bad_edge())
+def test_parse_reports_edge_errors_like_the_two_pass_validator(text):
+    want = _two_pass_parse_error(text)
+    assert want is not None
+    with pytest.raises(EdgeListParseError) as err:
+        parse_edge_list(text)
+    assert err.value.line_no == want.line_no
+    assert str(err.value) == str(want)

@@ -98,4 +98,4 @@ def test_mandatory_edges_match_their_definition(g):
     # endpoints is that edge alone
     expected = [e for e, (u, v) in enumerate(g.edges)
                 if enumerate_simple_path_edges(g, u, v) == {e}]
-    assert oracle._mandatory_edges(g, oracle.DEFAULT_STEP_BUDGET) == expected
+    assert oracle._mandatory_edges(g) == expected
