@@ -7,12 +7,12 @@ Every path-induced edge set P(s, t) is read from one table, `_pair_edges`,
 as an edge bitmask. On DAGs an exact shortcut applies: edge (x, y) lies on
 a simple s-t path iff x is reachable from s and t is reachable from y, so
 P(s, t) is `from_mask[s] & to_mask[t]` over per-vertex closure masks built
-in O(m) big-integer operations (or, above the mask cap, a per-pair
-reachability product). Deciding whether an edge lies on a simple s-t path
-is NP-hard on general digraphs, so on cyclic graphs the table walks every
-simple path from s once, under a hard step budget of
-DEFAULT_PATH_BUDGET * (n - 1) path prefixes per source, and caches the
-whole row P(s, *) on the graph.
+in O(m) big-integer operations. The masks take n * m bits, so above
+_MASK_LIMIT_BITS every DAG query raises BudgetExceededError. Deciding
+whether an edge lies on a simple s-t path is NP-hard on general digraphs,
+so on cyclic graphs the table walks every simple path from s once, under a
+hard step budget of DEFAULT_PATH_BUDGET * (n - 1) path prefixes per source,
+and caches the whole row P(s, *) on the graph.
 """
 
 from __future__ import annotations
@@ -31,11 +31,9 @@ DEFAULT_PATH_BUDGET = 2_000_000
 # and the deterministic fast-path witness is reported instead.
 _CANONICAL_RESCAN_LIMIT = 400
 
-# Cap on n*m bits of cached closure bitmasks; beyond it DAG queries fall back
-# to per-pair reachability products instead of materializing the masks.
+# Cap on n*m bits of cached closure bitmasks; beyond it every DAG path-set
+# query raises BudgetExceededError.
 _MASK_LIMIT_BITS = 200_000_000
-
-_TOO_BIG = "too-big"
 
 
 @dataclass(frozen=True)
@@ -53,8 +51,8 @@ def _iter_bits(mask: int):
 
 
 def _closure_edge_masks(graph: DirectedGraph):
-    """(from_mask, to_mask) per vertex on DAGs; None when cyclic; the
-    _TOO_BIG sentinel when the masks would not fit the size cap.
+    """(from_mask, to_mask) per vertex on DAGs, or None when cyclic; raises
+    BudgetExceededError when the masks would not fit the size cap.
 
     from_mask[u] has bit i set iff edge i's tail is reachable from u;
     to_mask[v] has bit i set iff edge i's head reaches v.
@@ -66,8 +64,9 @@ def _closure_edge_masks(graph: DirectedGraph):
         graph._cache["closure_masks"] = None
         return None
     if graph.n * graph.m > _MASK_LIMIT_BITS:
-        graph._cache["closure_masks"] = _TOO_BIG
-        return _TOO_BIG
+        raise BudgetExceededError(
+            f"graph too large for exact path-set computation "
+            f"(n*m = {graph.n * graph.m} exceeds the closure-mask cap)")
     tail_mask = [0] * graph.n
     head_mask = [0] * graph.n
     for i, (u, v) in enumerate(graph.edges):
@@ -88,17 +87,6 @@ def _closure_edge_masks(graph: DirectedGraph):
     result = (from_mask, to_mask)
     graph._cache["closure_masks"] = result
     return result
-
-
-def _pair_edges_dag(graph: DirectedGraph, u: int, v: int) -> int:
-    """Per-query reachability product on DAGs, no cached masks needed."""
-    from_u = graph.reachable_from(u)
-    to_v = graph.reaching(v)
-    mask = 0
-    for i, (x, y) in enumerate(graph.edges):
-        if x in from_u and y in to_v:
-            mask |= 1 << i
-    return mask
 
 
 def _source_row(graph: DirectedGraph, s: int) -> list[int]:
@@ -146,17 +134,14 @@ def _source_row(graph: DirectedGraph, s: int) -> list[int]:
 
 
 def _pair_edges(graph: DirectedGraph, s: int, t: int) -> int:
-    """P(s, t) as an edge bitmask: the closure masks on DAGs, a reachability
-    product on DAGs over the mask cap, and the source's cached row walk on
-    cyclic graphs."""
+    """P(s, t) as an edge bitmask: the closure masks on DAGs and the
+    source's cached row walk on cyclic graphs."""
     masks = _closure_edge_masks(graph)
     if masks is None:
         rows = graph._cache.setdefault("path_rows", {})
         if s not in rows:
             rows[s] = _source_row(graph, s)
         return rows[s][t]
-    if masks is _TOO_BIG:
-        return _pair_edges_dag(graph, s, t)
     from_mask, to_mask = masks
     return from_mask[s] & to_mask[t]
 
@@ -164,9 +149,11 @@ def _pair_edges(graph: DirectedGraph, s: int, t: int) -> int:
 def path_induced(graph: DirectedGraph, u: int, v: int) -> frozenset[int]:
     """Indices of edges lying on at least one simple directed u-v path.
 
-    On cyclic graphs the first query from u walks every simple path from u
-    once and answers all later queries from u; the walk raises
-    BudgetExceededError past DEFAULT_PATH_BUDGET * (n - 1) path prefixes.
+    On DAGs the answer is read from the closure masks, which raise
+    BudgetExceededError when n * m exceeds _MASK_LIMIT_BITS. On cyclic
+    graphs the first query from u walks every simple path from u once and
+    answers all later queries from u; the walk raises BudgetExceededError
+    past DEFAULT_PATH_BUDGET * (n - 1) path prefixes.
     """
     if u == v:
         raise ValueError("path_induced requires distinct endpoints")
@@ -179,7 +166,6 @@ def path_induced(graph: DirectedGraph, u: int, v: int) -> frozenset[int]:
 class EasFamily:
     """Per-edge path-induced edge sets and their sizes."""
 
-    graph: DirectedGraph
     sets: tuple[frozenset[int], ...]
 
     def mu(self, edge_index: int) -> int:
@@ -190,12 +176,8 @@ def eas_family(graph: DirectedGraph) -> EasFamily:
     """Each edge's EAS set P(u, v), read from row u of the path table."""
     if "eas_family" in graph._cache:
         return graph._cache["eas_family"]
-    if _closure_edge_masks(graph) is _TOO_BIG:
-        raise BudgetExceededError(
-            f"graph too large for exact path-set computation "
-            f"(n*m = {graph.n * graph.m} exceeds the closure-mask cap)")
     sets = tuple(frozenset(_iter_bits(_pair_edges(graph, u, v))) for u, v in graph.edges)
-    fam = EasFamily(graph, sets)
+    fam = EasFamily(sets)
     graph._cache["eas_family"] = fam
     return fam
 
@@ -206,7 +188,15 @@ def _laminar(a: frozenset, b: frozenset) -> bool:
 
 def check_p2(graph: DirectedGraph) -> tuple[bool, Optional[tuple[int, int]]]:
     """Laminarity of the edge EAS family; witness is the first violating
-    (edge id, edge id) pair."""
+    (edge id, edge id) pair.
+
+    One owner scan over the distinct EAS sets, largest first, decides it: in
+    a laminar family each set nests in the last earlier set that holds its
+    edges, or shares no edge with any earlier set and is then maximal. On a
+    laminar family the maximal sets, each with its defining edge (the first
+    edge whose EAS set it is), are cached on the graph ordered by smallest
+    edge; they are the MEAS blocks `meas_partition` and the LSP solver read.
+    """
     fam = eas_family(graph)
     distinct: dict[frozenset, int] = {}
     for e, s in enumerate(fam.sets):
@@ -214,15 +204,20 @@ def check_p2(graph: DirectedGraph) -> tuple[bool, Optional[tuple[int, int]]]:
             distinct[s] = e
     ordered = sorted(distinct, key=lambda s: (-len(s), min(s)))
     owner: dict[int, int] = {}
-    ok = True
+    maximal: list[tuple[int, frozenset[int]]] = []
     for idx, s in enumerate(ordered):
         owners = {owner.get(x) for x in s}
         if len(owners) > 1:
-            ok = False
             break
+        if owners == {None}:
+            maximal.append((distinct[s], s))
         for x in s:
             owner[x] = idx
-    if ok:
+    else:
+        # Every edge lies in its own EAS set and the maximal sets are disjoint.
+        assert sum(len(s) for _, s in maximal) == graph.m, "maximal EAS sets do not cover E"
+        maximal.sort(key=lambda block: min(block[1]))
+        graph._cache["meas_blocks"] = maximal
         return True, None
     # Recover the canonical first violating (edge id, edge id) pair.
     for j in range(graph.m):
@@ -328,6 +323,15 @@ def is_lsp(graph: DirectedGraph) -> LspVerdict:
     return verdict
 
 
+def _meas_blocks(graph: DirectedGraph) -> list[tuple[int, frozenset[int]]]:
+    """(defining edge, block) for each MEAS block, as `check_p2` cached them.
+    Raises NotLspError (carrying the verdict) when the graph is not an LSP."""
+    verdict = is_lsp(graph)
+    if not verdict.is_lsp:
+        raise NotLspError(verdict)
+    return graph._cache["meas_blocks"]
+
+
 def meas_partition(graph: DirectedGraph) -> list[EdgeSet]:
     """The maximal edge EAS sets; on an LSP they partition the edge set.
 
@@ -336,23 +340,7 @@ def meas_partition(graph: DirectedGraph) -> list[EdgeSet]:
     smallest contained edge index. Raises NotLspError (carrying the verdict)
     when the precondition fails.
     """
-    verdict = is_lsp(graph)
-    if not verdict.is_lsp:
-        raise NotLspError(verdict)
-    fam = eas_family(graph)
-    # The family is laminar, so scanning largest first, a set is maximal iff
-    # it shares no edge with a set already kept; otherwise it nests in one.
-    maximal = []
-    covered: set[int] = set()
-    for s in sorted(set(fam.sets), key=len, reverse=True):
-        if covered.isdisjoint(s):
-            maximal.append(s)
-            covered |= s
-        else:
-            assert s <= covered, "maximal EAS sets overlap on an LSP"
-    maximal.sort(key=min)
-    assert covered == set(range(graph.m)), "maximal EAS sets do not cover E"
-    return [EdgeSet(s, graph.m) for s in maximal]
+    return [EdgeSet(block, graph.m) for _, block in _meas_blocks(graph)]
 
 
 def subdivide(graph: DirectedGraph) -> DirectedGraph:

@@ -4,8 +4,7 @@ Everything here is deliberately naive so it can be audited by eye; the only
 optimization is mandatory-edge pruning (an edge that is the unique simple
 path between its endpoints belongs to every feasible solution), decided by
 the package's one max-flow kernel. Budgets are hard errors, never silent
-truncation. The path-system search below is not used by the solvers: tests
-keep it as an independent reference for the flow values.
+truncation.
 """
 
 from __future__ import annotations
@@ -18,56 +17,6 @@ from .graphs import DirectedGraph, EdgeSet
 from .solution import Solution
 
 DEFAULT_EDGE_BUDGET = 16
-DEFAULT_STEP_BUDGET = 5_000_000
-
-
-def _simple_paths_in(graph: DirectedGraph, s: int, t: int, allowed: frozenset[int],
-                     counter: list[int]):
-    """All simple s-t paths using only `allowed` edges, as edge-index tuples."""
-    path_vertices = [s]
-    on_path = {s}
-    path_edges: list[int] = []
-    iters = [iter(graph.out_edges(s))]
-    while iters:
-        counter[0] -= 1
-        if counter[0] < 0:
-            raise BudgetExceededError("path-system search budget exceeded")
-        try:
-            eid, head = next(iters[-1])
-        except StopIteration:
-            iters.pop()
-            if path_edges:
-                path_edges.pop()
-                on_path.discard(path_vertices.pop())
-            continue
-        if eid not in allowed:
-            continue
-        if head == t:
-            yield tuple(path_edges) + (eid,)
-            continue
-        if head in on_path:
-            continue
-        path_vertices.append(head)
-        on_path.add(head)
-        path_edges.append(eid)
-        iters.append(iter(graph.out_edges(head)))
-
-
-def edge_disjoint_paths_count(graph: DirectedGraph, s: int, t: int,
-                              budget: int = DEFAULT_STEP_BUDGET) -> int:
-    """Maximum number of pairwise edge-disjoint s-t paths, by exhaustive
-    search over path systems (remove a path's edges, recurse, take the max)."""
-    if s == t:
-        return 0
-    counter = [budget]
-
-    def best(allowed: frozenset[int]) -> int:
-        top = 0
-        for path in _simple_paths_in(graph, s, t, allowed, counter):
-            top = max(top, 1 + best(allowed - set(path)))
-        return top
-
-    return best(frozenset(range(graph.m)))
 
 
 def _mandatory_edges(graph: DirectedGraph) -> list[int]:

@@ -12,7 +12,7 @@ from . import oracle
 from .errors import McpsError, NotDspError, NotLspError
 from .flow import RetentionRatio, check_all_pairs
 from .graphs import DirectedGraph, EdgeSet
-from .lsp import eas_family, is_lsp, meas_partition
+from .lsp import _meas_blocks, eas_family, is_lsp
 from .solution import Solution
 from .spdecomp import LEAF, PARALLEL, _postorder, _reduce, recognize_dsp
 
@@ -79,7 +79,8 @@ def solve_lsp(graph: DirectedGraph, alpha: RetentionRatio) -> Solution:
 
     By P1 each maximal edge EAS set is a DSP whose terminals are the
     endpoints of its defining edge, the one edge whose EAS set is the whole
-    block, and by P2 these sets partition the edge set (`meas_partition`).
+    block, and by P2 these sets partition the edge set (the MEAS blocks of
+    `meas_partition`, read with their defining edges from the P2 scan).
     Every pair's path-induced subgraph lies inside one block, so the blocks
     are independent: the optimum is the union of the DSP optima of the
     blocks, and the MED size is the sum of theirs. Each block is reduced in
@@ -87,15 +88,12 @@ def solve_lsp(graph: DirectedGraph, alpha: RetentionRatio) -> Solution:
 
     Raises NotLspError (carrying the verdict) on non-LSP input.
     """
-    blocks = meas_partition(graph)
-    sets = eas_family(graph).sets
     edges = graph.edges
     chosen: set[int] = set()
     med_size = 0
-    for block in blocks:
-        defining = next(e for e in block if len(sets[e]) == len(block))
+    for defining, block in _meas_blocks(graph):
         s, t = edges[defining]
-        nodes, remaining = _reduce((e, *edges[e]) for e in block)
+        nodes, remaining = _reduce((e, *edges[e]) for e in sorted(block))
         assert len(remaining) == 1 and remaining[0][:2] == (s, t), \
             f"LSP block of edge {defining} is not a DSP on its endpoints"
         kept, block_med = _fold(nodes, _postorder(nodes, remaining[0][2]), alpha)

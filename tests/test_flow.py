@@ -9,8 +9,8 @@ from mcps import (CoverageReport, DirectedGraph, EdgeSet, RetentionRatio, Violat
                   check_all_pairs, is_covered, max_flow_value)
 from mcps.flow import feasible, pair_requirements
 from mcps.generators import fixtures
-from mcps.oracle import edge_disjoint_paths_count
 
+from path_reference import edge_disjoint_paths_count
 from strategies import digraphs
 
 W_PLUS_MED = [2, 5, 6, 7, 8]  # s->t plus the two added two-edge paths

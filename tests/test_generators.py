@@ -9,6 +9,8 @@ from mcps.generators import (SetCoverInstance,
                              gen_random_dsp, gen_random_lsp,
                              mcps_to_sc_solution, sc_to_mcps_solution)
 
+from path_reference import edge_disjoint_paths_count
+
 
 def test_set_cover_instance_validation():
     with pytest.raises(ValueError):
@@ -66,7 +68,7 @@ def test_singleton_reduction_p2():
     art = build_reduction(SetCoverInstance(1, (frozenset({0}),)), p=2)
     assert art.alpha == RetentionRatio(2, 3)
     lam = max_flow_value(art.graph, art.item_vertex[0], art.sink)
-    assert lam == oracle.edge_disjoint_paths_count(art.graph, art.item_vertex[0], art.sink) == 4
+    assert lam == edge_disjoint_paths_count(art.graph, art.item_vertex[0], art.sink) == 4
     assert art.alpha.required(lam) == 3
 
 

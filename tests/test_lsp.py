@@ -6,8 +6,8 @@ import mcps
 from mcps import (BudgetExceededError, DirectedGraph, NotDspError, NotLspError,
                   RetentionRatio, check_p1, check_p2, eas_family,
                   find_w_subdivision, is_lsp, meas_partition, path_induced,
-                  recognize_dsp, solve_lsp, solve_med, subdivide)
-from mcps import oracle
+                  recognize_dsp, solve_lsp, solve_med, subdivide, to_edge_list)
+from mcps import cli, oracle
 import mcps.lsp as lsp_mod
 from mcps.lsp import _is_dsp_with_terminals, _iter_bits, _source_row
 from mcps.generators import fixtures, gen_random_dsp, gen_random_lsp
@@ -189,16 +189,12 @@ def _first_failing_terminal_pair_naive(g):
 @given(digraphs(max_n=9, max_m=16, acyclic=True), st.data())
 def test_check_p1_source_sink_witness_without_rescan(g, data):
     # With the id-order rescan off, the witness is the first failing
-    # source x sink pair, decided on the shared reduction's core, whether
-    # the core's path table comes from closure masks or, under a mask cap
-    # of 0, from per-pair reachability products.
+    # source x sink pair, decided on the shared reduction's core.
     g = _relabeled(g, data.draw(st.permutations(range(g.n))))
     witness = _first_failing_terminal_pair_naive(g)
-    for mask_limit in (lsp_mod._MASK_LIMIT_BITS, 0):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(lsp_mod, "_CANONICAL_RESCAN_LIMIT", 0)
-            mp.setattr(lsp_mod, "_MASK_LIMIT_BITS", mask_limit)
-            assert check_p1(DirectedGraph(g.n, g.edges)) == (witness is None, witness)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lsp_mod, "_CANONICAL_RESCAN_LIMIT", 0)
+        assert check_p1(DirectedGraph(g.n, g.edges)) == (witness is None, witness)
 
 
 def test_p2_and_every_block_dsp_do_not_imply_p1():
@@ -295,6 +291,24 @@ def test_check_p2():
         assert check_p2(fixtures()[name]) == (True, None)
 
 
+def _check_p2_definition(g):
+    """The first pair (i, j), j ascending, then i, whose EAS sets are
+    neither nested nor disjoint."""
+    sets = eas_family(g).sets
+    for j in range(g.m):
+        for i in range(j):
+            a, b = sets[i], sets[j]
+            if not (a <= b or b <= a or a.isdisjoint(b)):
+                return False, (i, j)
+    return True, None
+
+
+@settings(max_examples=80, deadline=None)
+@given(digraphs(max_n=6, max_m=12))
+def test_check_p2_matches_its_definition(g):
+    assert check_p2(g) == _check_p2_definition(g)
+
+
 def test_is_lsp_verdicts():
     assert not is_lsp(fixtures()["W"]).is_lsp
     assert is_lsp(fixtures()["block_chain"]).is_lsp
@@ -362,6 +376,34 @@ def test_each_eas_lies_in_exactly_one_meas(g):
     for e in range(g.m):
         containing = [p for p in parts if set(fam.sets[e]) <= p]
         assert len(containing) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 5), st.sampled_from([
+    (0.5, 0.0), (0.0, 0.5), (0.3, 0.3), (0.0, 0.0)]))
+def test_each_meas_block_has_one_defining_edge_and_solve_lsp_reduces_on_it(
+        seed, blocks, probs):
+    cyclic_prob, bipartite_prob = probs
+    g = gen_random_lsp(seed, blocks=blocks, block_edges=(2, 8),
+                       cyclic_prob=cyclic_prob, bipartite_prob=bipartite_prob)
+    sets = eas_family(g).sets
+    defining = []
+    for block in meas_partition(g):
+        owners = [e for e in block if sets[e] == block.indices]
+        assert len(owners) == 1, (g.edges, block)
+        defining.append(owners[0])
+    ends = []
+
+    def recording(triples):
+        nodes, remaining = real_reduce(triples)
+        ends.append(remaining[0][:2])
+        return nodes, remaining
+
+    real_reduce = mcps.solver._reduce
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mcps.solver, "_reduce", recording)
+        solve_lsp(g, RetentionRatio(1, 2))
+    assert ends == [g.edges[e] for e in defining]
 
 
 def test_subdivide():
@@ -441,14 +483,21 @@ def test_gen_random_dsp_accepted_and_w_free():
         assert check_p1(g) == (True, None)
 
 
-def test_oversized_dag_falls_back_to_per_pair_products(monkeypatch):
-    monkeypatch.setattr(lsp_mod, "_MASK_LIMIT_BITS", 10)
-    g = gen_random_dsp(3, 10)
-    for s in range(g.n):
-        for t in range(g.n):
-            if s != t:
-                assert lsp_mod.path_induced(g, s, t) == \
-                    enumerate_simple_path_edges(g, s, t)
-    assert lsp_mod.check_p1(g) == (True, None)
-    with pytest.raises(BudgetExceededError):
-        lsp_mod.eas_family(g)
+_OVER_CAP = ("graph too large for exact path-set computation "
+             "(n*m = 20 exceeds the closure-mask cap)")
+
+
+def test_dag_path_sets_over_the_mask_cap_are_a_budget_error(monkeypatch, tmp_path, capsys):
+    # W is an irreducible DAG, so the P1 check's shared reduction leaves all
+    # of it and its core's masks are over the cap as well.
+    monkeypatch.setattr(lsp_mod, "_MASK_LIMIT_BITS", 19)
+    w = fixtures()["W"]
+    for query in (lambda g: path_induced(g, 0, 3), check_p1, eas_family, is_lsp):
+        with pytest.raises(BudgetExceededError) as err:
+            query(DirectedGraph(w.n, w.edges))
+        assert str(err.value) == _OVER_CAP
+    path = tmp_path / "w.el"
+    path.write_text(to_edge_list(w))
+    assert cli.main(["med", "--input", str(path)]) == 4
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"budget exceeded: {_OVER_CAP}\n"

@@ -7,7 +7,7 @@ from mcps import BudgetExceededError, DirectedGraph, RetentionRatio, check_all_p
 from mcps import oracle
 from mcps.generators import fixtures
 
-from path_reference import enumerate_simple_path_edges
+from path_reference import edge_disjoint_paths_count, enumerate_simple_path_edges
 from strategies import digraphs
 
 HALF = RetentionRatio(1, 2)
@@ -83,10 +83,10 @@ def test_enumerate_simple_path_edges():
 
 
 def test_edge_disjoint_paths_count():
-    assert oracle.edge_disjoint_paths_count(fixtures()["W"], 0, 3) == 2
-    assert oracle.edge_disjoint_paths_count(DirectedGraph(2, [(0, 1)]), 0, 1) == 1
-    assert oracle.edge_disjoint_paths_count(DirectedGraph(2, [(0, 1)]), 1, 0) == 0
-    assert oracle.edge_disjoint_paths_count(fixtures()["w_plus"], 0, 3) == 3
+    assert edge_disjoint_paths_count(fixtures()["W"], 0, 3) == 2
+    assert edge_disjoint_paths_count(DirectedGraph(2, [(0, 1)]), 0, 1) == 1
+    assert edge_disjoint_paths_count(DirectedGraph(2, [(0, 1)]), 1, 0) == 0
+    assert edge_disjoint_paths_count(fixtures()["w_plus"], 0, 3) == 3
 
 
 @settings(max_examples=100, deadline=None)

@@ -76,6 +76,19 @@ def run_once(root: str, command: list[str], workload: str, seed: int,
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
 
 
+def progress(side: str, run: dict) -> str:
+    """One side of a pair's progress line: its op counts, its ops/s when the
+    run reports it (a traced run does not), and FAILED when it is not ok."""
+    parts = [side]
+    if "attempted" in run:
+        parts.append(f"{run['attempted']} ops ({run['failed']} failed)")
+    if "ops_per_s" in run.get("metrics", {}):
+        parts.append(f"{run['metrics']['ops_per_s']:.3f} ops/s")
+    if not run["ok"]:
+        parts.append("FAILED")
+    return " ".join(parts)
+
+
 def quartiles(values: list[float]) -> tuple[float, float, float]:
     if len(values) < 2:
         return values[0], values[0], values[0]
@@ -173,10 +186,9 @@ def main(argv=None) -> int:
                     pair[side] = run_once(roots[side], bench["command"], workload, seed,
                                           seconds, args.trace)
                 pairs.append(pair)
-                print(f"{workload} pair {i + 1}/{args.pairs}: " + ", ".join(
-                    f"{side} {pair[side]['metrics'].get('ops_per_s', float('nan')):.3f} ops/s"
-                    if pair[side]["ok"] else f"{side} FAILED" for side in order),
-                    file=sys.stderr, flush=True)
+                print(f"{workload} pair {i + 1}/{args.pairs}: "
+                      + " | ".join(progress(side, pair[side]) for side in order),
+                      file=sys.stderr, flush=True)
             results[workload] = {"summary": summarise(pairs, better, bounds), "pairs": pairs}
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
