@@ -9,6 +9,7 @@ human diagnostics go to stderr. Exit codes: 0 success/feasible,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -249,7 +250,9 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parsing reads the parser and never changes it
     parser = argparse.ArgumentParser(
         prog="mcps",
         description="Minimum capacity-preserving subgraphs of directed unit-capacity graphs")

@@ -227,18 +227,21 @@ def check_p2(graph: DirectedGraph) -> tuple[bool, Optional[tuple[int, int]]]:
     raise AssertionError("owner scan reported a violation but none found")
 
 
-def _reduces_to(triples, s: int, t: int) -> bool:
-    # Every route given lies on an s-t path, so s is the only source and t
+def _is_dsp_with_terminals(graph: DirectedGraph, edge_indices, s: int, t: int) -> bool:
+    # Every edge given lies on an s-t path, so s is the only source and t
     # the only sink, cyclic or not; the reduction alone then decides whether
-    # the routes form a DSP on (s, t) (a cyclic graph never reduces to one
+    # the edges form a DSP on (s, t) (a cyclic graph never reduces to one
     # route).
-    _, remaining = _reduce(triples)
+    edges = graph.edges
+    _, remaining = _reduce((i, *edges[i]) for i in edge_indices)
     return len(remaining) == 1 and remaining[0][:2] == (s, t)
 
 
-def _is_dsp_with_terminals(graph: DirectedGraph, edge_indices, s: int, t: int) -> bool:
-    edges = graph.edges
-    return _reduces_to(((i, *edges[i]) for i in edge_indices), s, t)
+def _pair_fails(graph: DirectedGraph, s: int, t: int) -> bool:
+    # a lone edge on an s-t path is (s, t), so only two or more are reduced
+    mask = _pair_edges(graph, s, t)
+    return mask & (mask - 1) != 0 and not _is_dsp_with_terminals(
+        graph, _iter_bits(mask), s, t)
 
 
 def _first_failing_terminal_pair(graph: DirectedGraph, sources: list[int],
@@ -257,18 +260,18 @@ def _first_failing_terminal_pair(graph: DirectedGraph, sources: list[int],
     P(s, t)'s own reduction or touches none of its edges; the core routes in
     P(s, t) are the core's own P(s, t), read from the path table of the core
     as a graph on the host's vertices (`_pair_edges`); and by confluence
-    (see `spdecomp`) reducing them ends as reducing P(s, t) itself would. A
-    pair with at most one core route needs no reduction: a single route on
-    an s-t path is (s, t).
+    (see `spdecomp`) reducing them ends as reducing P(s, t) itself would.
     """
     _, core = _reduce((i, u, v) for i, (u, v) in enumerate(graph.edges))
+    if len(core) < graph.m and graph.n * len(core) > _MASK_LIMIT_BITS:
+        raise BudgetExceededError(
+            f"graph too large for exact path-set computation (the reduced core's "
+            f"n*m = {graph.n * len(core)} exceeds the closure-mask cap; "
+            f"the input's n*m is {graph.n * graph.m})")
     core_graph = DirectedGraph(graph.n, [(x, y) for x, y, _ in core])
-    routes = [(k, x, y) for k, (x, y) in enumerate(core_graph.edges)]
     for s in sources:
         for t in sinks:
-            mask = _pair_edges(core_graph, s, t)
-            if mask & (mask - 1) and not _reduces_to(
-                    [routes[k] for k in _iter_bits(mask)], s, t):
+            if _pair_fails(core_graph, s, t):
                 return s, t
     return None
 
@@ -293,10 +296,6 @@ def check_p1(graph: DirectedGraph) -> tuple[bool, Optional[tuple[int, int]]]:
     order. Cyclic graphs go straight to the pair-by-pair scan, at every
     size, reading each P(s, t) from one walk per source.
     """
-    def fails(s, t):
-        edges = _pair_edges(graph, s, t)
-        return edges and not _is_dsp_with_terminals(graph, _iter_bits(edges), s, t)
-
     failing = None
     if graph.is_acyclic():
         sources, sinks = graph.sources(), graph.sinks()
@@ -307,7 +306,7 @@ def check_p1(graph: DirectedGraph) -> tuple[bool, Optional[tuple[int, int]]]:
             return False, failing
     for s in range(graph.n):
         for t in range(graph.n):
-            if s != t and fails(s, t):
+            if s != t and _pair_fails(graph, s, t):
                 return False, (s, t)
     return failing is None, failing
 

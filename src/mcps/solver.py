@@ -14,7 +14,7 @@ from .flow import RetentionRatio, check_all_pairs
 from .graphs import DirectedGraph, EdgeSet
 from .lsp import _meas_blocks, eas_family, is_lsp
 from .solution import Solution
-from .spdecomp import LEAF, PARALLEL, _postorder, _reduce, recognize_dsp
+from .spdecomp import _fold, _reduce, recognize_dsp
 
 
 def solve_dsp(graph: DirectedGraph, alpha: RetentionRatio) -> Solution:
@@ -30,48 +30,9 @@ def solve_dsp(graph: DirectedGraph, alpha: RetentionRatio) -> Solution:
     Raises NotDspError (carrying the witness) on non-DSP input.
     """
     tree = recognize_dsp(graph)
-    kept, med_size = _fold(tree.nodes, tree.postorder, alpha)
+    _, kept, med_size = _fold(tree.nodes, tree.root, alpha)
     return Solution(edges=EdgeSet(kept, graph.m), algorithm="dsp", alpha=alpha,
                     objective=len(kept), mcps_star=len(kept) - med_size)
-
-
-def _fold(nodes, postorder, alpha: RetentionRatio) -> tuple[set[int], int]:
-    """The DSP fold over one decomposition tree: (kept leaf edges, MED size).
-
-    One bottom-up pass computes each node's full capacity and its capacity
-    in the current selection. An edge has an alternative path between its
-    endpoints exactly when its leaf is the terminal-edge child of a P node,
-    so those are the leaves the MED leaves out.
-    """
-    cap_full = [0] * len(nodes)
-    cap_cur = [0] * len(nodes)
-    kept: set[int] = set()
-    med_size = 0
-    for i in postorder:
-        nd = nodes[i]
-        if nd.kind == LEAF:
-            cap_full[i] = cap_cur[i] = 1
-            kept.add(nd.edge)
-            med_size += 1
-        elif nd.kind == PARALLEL:
-            first, *rest = nd.children
-            full = sum([cap_full[c] for c in nd.children])
-            cap = sum([cap_cur[c] for c in rest])
-            if nodes[first].kind == LEAF:
-                med_size -= 1
-                if cap >= alpha.required(full):
-                    kept.discard(nodes[first].edge)
-                else:
-                    cap += 1
-            else:
-                cap += cap_cur[first]
-            cap_full[i] = full
-            cap_cur[i] = cap
-        else:
-            a, b = nd.children
-            cap_full[i] = min(cap_full[a], cap_full[b])
-            cap_cur[i] = min(cap_cur[a], cap_cur[b])
-    return kept, med_size
 
 
 def solve_lsp(graph: DirectedGraph, alpha: RetentionRatio) -> Solution:
@@ -96,7 +57,7 @@ def solve_lsp(graph: DirectedGraph, alpha: RetentionRatio) -> Solution:
         nodes, remaining = _reduce((e, *edges[e]) for e in sorted(block))
         assert len(remaining) == 1 and remaining[0][:2] == (s, t), \
             f"LSP block of edge {defining} is not a DSP on its endpoints"
-        kept, block_med = _fold(nodes, _postorder(nodes, remaining[0][2]), alpha)
+        _, kept, block_med = _fold(nodes, remaining[0][2], alpha)
         chosen |= kept
         med_size += block_med
     return Solution(edges=EdgeSet(chosen, graph.m), algorithm="lsp", alpha=alpha,

@@ -12,6 +12,11 @@ confluent on acyclic single-source single-sink graphs, so getting stuck
 proves the graph is not series-parallel; the stuck core is then handed to
 the W-subdivision search for a best-effort witness.
 
+The tree has no object per node: a reduction fills a `NodeStore` of
+parallel int lists, with children chained by sibling links, and the tree,
+the DSP fold (`_fold`) and the witness expansion read it. Only this module
+knows that layout.
+
 Only vertices with in-degree = out-degree = 1 are contracted, so a source
 (in-degree 0) or a sink (out-degree 0) of the input is never eligible for a
 series step, and no step makes it eligible: a series step at v replaces the
@@ -41,10 +46,11 @@ import heapq
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import BudgetExceededError, NotDspError
-from .graphs import DirectedGraph, EdgeSet
+from .flow import RetentionRatio
+from .graphs import DirectedGraph
 from . import _wsearch
 
 LEAF = 0
@@ -54,17 +60,21 @@ PARALLEL = 2
 _KIND_NAMES = {LEAF: "leaf", SERIES: "series", PARALLEL: "parallel"}
 
 
-class _Node:
-    # children: () for a leaf, (first, second) in path order for an S node,
-    # and a list for a P node, since later parallel merges append to it
-    __slots__ = ("kind", "children", "edge", "s", "t")
+class NodeStore(NamedTuple):
+    """The nodes of one reduction as parallel lists indexed by node id:
+    first the leaves, one per input route, whose host edge ids are `edge`,
+    then the S and P nodes. `s` and `t` are every node's terminals. A
+    node's children are `first`, then the `sibling` links from it, -1
+    ending the chain at `second`, the last child (an S node's two are in
+    path order); a leaf's `first` is -1."""
 
-    def __init__(self, kind, children, edge, s, t):
-        self.kind = kind
-        self.children = children
-        self.edge = edge
-        self.s = s
-        self.t = t
+    kind: list[int]
+    edge: list[int]
+    s: list[int]
+    t: list[int]
+    first: list[int]
+    second: list[int]
+    sibling: list[int]
 
 
 @dataclass
@@ -83,18 +93,18 @@ class NotDspWitness:
 
 
 class DecompositionTree:
-    """S/P-composition tree of a two-terminal DSP.
+    """S/P-composition tree of a two-terminal DSP, over the node store of
+    the reduction that recognized it (see `NodeStore`).
 
     Leaves biject with the host graph's edges. S nodes have two children, in
     path order; P nodes have two or more, none of them a P node, and the
-    only leaf a P node can have is `children[0]`: the edge joining its
-    terminals. Every node carries its terminal pair. `postorder` and
-    `cap_full` are computed on first use: `cap_full[i]` is the max-flow
-    value of node i's subgraph between its terminals (leaf 1, series min,
-    parallel sum).
+    only leaf a P node can have is its first child: the edge joining its
+    terminals. `postorder` and `cap_full` are computed on first use:
+    `cap_full[i]` is the max-flow value of node i's subgraph between its
+    terminals (leaf 1, series min, parallel sum), as `_fold` computes it.
     """
 
-    def __init__(self, graph: DirectedGraph, nodes: list[_Node], root: int):
+    def __init__(self, graph: DirectedGraph, nodes: NodeStore, root: int):
         self.graph = graph
         self.nodes = nodes
         self.root = root
@@ -105,145 +115,213 @@ class DecompositionTree:
 
     @cached_property
     def cap_full(self) -> list[int]:
-        return self.fold(range(self.graph.m))
+        # the full capacities do not depend on the retention ratio
+        return _fold(self.nodes, self.root, RetentionRatio(1, 2))[0]
 
-    def fold(self, selected: "EdgeSet | Iterable[int]") -> list[int]:
-        """Per-node capacity using only the selected leaf edges.
-
-        Leaf: 1 if selected else 0; series: min of children; parallel: sum.
-        Returns a fresh annotation list indexed by node id.
-        """
-        if isinstance(selected, EdgeSet):
-            chosen = selected.indices
-        else:
-            chosen = set(selected)
-        cap = [0] * len(self.nodes)
-        for i in self.postorder:
-            nd = self.nodes[i]
-            if nd.kind == LEAF:
-                cap[i] = 1 if nd.edge in chosen else 0
-            elif nd.kind == SERIES:
-                a, b = nd.children
-                cap[i] = min(cap[a], cap[b])
-            else:
-                cap[i] = sum([cap[c] for c in nd.children])
-        return cap
+    def children(self, i: int) -> list[int]:
+        """Node i's children in order (empty for a leaf)."""
+        out, c = [], self.nodes.first[i]
+        while c >= 0:
+            out.append(c)
+            c = self.nodes.sibling[c]
+        return out
 
     def terminals(self) -> tuple[int, int]:
-        root = self.nodes[self.root]
-        return (root.s, root.t)
+        return (self.nodes.s[self.root], self.nodes.t[self.root])
 
     def validate(self) -> None:
         """Check structural invariants; raises AssertionError on violation."""
+        kind, edge, s, t = self.nodes.kind, self.nodes.edge, self.nodes.s, self.nodes.t
         seen_edges = []
         for i in self.postorder:
-            nd = self.nodes[i]
-            if nd.kind == LEAF:
-                u, v = self.graph.edges[nd.edge]
-                assert (nd.s, nd.t) == (u, v), f"leaf {i} terminals mismatch"
-                seen_edges.append(nd.edge)
-            elif nd.kind == SERIES:
-                assert len(nd.children) == 2, f"series node {i} is not binary"
-                l, r = (self.nodes[c] for c in nd.children)
-                assert l.s == nd.s and r.t == nd.t and l.t == r.s, \
+            ch = self.children(i)
+            if kind[i] == LEAF:
+                assert not ch, f"leaf {i} has children"
+                assert (s[i], t[i]) == self.graph.edges[edge[i]], \
+                    f"leaf {i} terminals mismatch"
+                seen_edges.append(edge[i])
+                continue
+            assert ch and self.nodes.second[i] == ch[-1], \
+                f"node {i}'s second is not its last child"
+            if kind[i] == SERIES:
+                assert len(ch) == 2, f"series node {i} is not binary"
+                l, r = ch
+                assert s[l] == s[i] and t[r] == t[i] and t[l] == s[r], \
                     f"series node {i} terminal chain broken"
             else:
-                assert len(nd.children) >= 2, f"parallel node {i} has one child"
-                for k, c in enumerate(nd.children):
-                    ch = self.nodes[c]
-                    assert (ch.s, ch.t) == (nd.s, nd.t), \
+                assert len(ch) >= 2, f"parallel node {i} has one child"
+                for k, c in enumerate(ch):
+                    assert (s[c], t[c]) == (s[i], t[i]), \
                         f"parallel node {i} terminals mismatch"
-                    assert ch.kind != PARALLEL, f"parallel node {i} has a P child"
-                    assert ch.kind != LEAF or k == 0, \
+                    assert kind[c] != PARALLEL, f"parallel node {i} has a P child"
+                    assert kind[c] != LEAF or k == 0, \
                         f"parallel node {i} has a leaf after its first child"
         assert sorted(seen_edges) == list(range(self.graph.m)), \
             "leaves do not biject with graph edges"
 
     def dump(self) -> str:
         """Indented text rendering (node kind, terminals, full capacity)."""
+        kind, s, t = self.nodes.kind, self.nodes.s, self.nodes.t
+        cap = self.cap_full
         lines = []
         stack: list[tuple[int, int]] = [(self.root, 0)]
         while stack:
             i, depth = stack.pop()
-            nd = self.nodes[i]
             pad = "  " * depth
-            if nd.kind == LEAF:
-                lines.append(f"{pad}leaf e{nd.edge} ({nd.s},{nd.t}) cap={self.cap_full[i]}")
+            if kind[i] == LEAF:
+                lines.append(f"{pad}leaf e{self.nodes.edge[i]} ({s[i]},{t[i]}) cap={cap[i]}")
             else:
-                lines.append(f"{pad}{_KIND_NAMES[nd.kind]} ({nd.s},{nd.t}) cap={self.cap_full[i]}")
-                for c in reversed(nd.children):
+                lines.append(f"{pad}{_KIND_NAMES[kind[i]]} ({s[i]},{t[i]}) cap={cap[i]}")
+                for c in reversed(self.children(i)):
                     stack.append((c, depth + 1))
         return "\n".join(lines) + "\n"
 
 
-def _postorder(nodes: list[_Node], root: int) -> list[int]:
+def _postorder(nodes: NodeStore, root: int) -> list[int]:
     # a preorder that visits children last to first, reversed, is the
     # postorder that visits them first to last
+    first, sibling = nodes.first, nodes.sibling
     order = []
     stack = [root]
     while stack:
         i = stack.pop()
         order.append(i)
-        stack.extend(nodes[i].children)
+        c = first[i]
+        while c >= 0:
+            stack.append(c)
+            c = sibling[c]
     order.reverse()
     return order
 
 
+def _fold(nodes: NodeStore, root: int, alpha: RetentionRatio
+          ) -> tuple[list[int], set[int], int]:
+    """The DSP fold over the subtree at `root`: (full capacity per node, kept
+    leaf edges, MED size).
+
+    One bottom-up pass from every leaf edge computes each node's full
+    capacity and its capacity in the selection so far; at each P node whose
+    first child is the leaf of its terminal edge, that edge is dropped if
+    the other children already give the required capacity. Exactly those
+    edges have another path between their endpoints: the MED leaves them
+    out."""
+    kind, edge, first, second, sibling = (
+        nodes.kind, nodes.edge, nodes.first, nodes.second, nodes.sibling)
+    required = alpha.required
+    full = [1] * len(kind)
+    cur = [1] * len(kind)
+    kept: set[int] = set()
+    med_size = 0
+    for i in _postorder(nodes, root):
+        k = kind[i]
+        if k == SERIES:
+            a, b = first[i], second[i]
+            x, y = full[a], full[b]
+            full[i] = x if x < y else y
+            x, y = cur[a], cur[b]
+            cur[i] = x if x < y else y
+        elif k == PARALLEL:
+            head = first[i]
+            f = full[head]
+            cap = 0
+            c = sibling[head]
+            while c >= 0:
+                f += full[c]
+                cap += cur[c]
+                c = sibling[c]
+            if kind[head] == LEAF:
+                med_size -= 1
+                if cap >= required(f):
+                    kept.discard(edge[head])
+                else:
+                    cap += 1
+            else:
+                cap += cur[head]
+            full[i] = f
+            cur[i] = cap
+        else:
+            kept.add(edge[i])
+            med_size += 1
+    return full, kept, med_size
+
+
 def _reduce(triples: Iterable[tuple[int, int, int]]
-            ) -> tuple[list[_Node], list[tuple[int, int, int]]]:
+            ) -> tuple[NodeStore, list[tuple[int, int, int]]]:
     """Series-parallel reduction of the routes given as (edge id, tail, head).
 
     A series step contracts a vertex with in- and out-degree 1, and a
     parallel merge joins a new route to the routes with its tail and head;
     sources and sinks of the input are never contracted (see the module
-    docstring). Returns the tree nodes (one leaf per triple, in triple
+    docstring). Returns the node store (one leaf per triple, in triple
     order, then the S and P nodes in creation order) and the routes left
-    when no step applies, as (tail, head, node index). An input whose only
+    when no step applies, as (tail, head, node id). An input whose only
     source is s and only sink is t is a DSP with terminals s and t iff
     exactly one route remains and it is (s, t); its node is then the root.
     Contraction picks the lowest eligible vertex id first and a parallel
-    merge appends the newer route after the older ones, so the result is
-    deterministic; by confluence the routes left, though not the tree, are
-    the same in any order on acyclic inputs.
+    merge links the newer route after the last child of the older route's
+    P node (made on the first merge), so the result is deterministic; by
+    confluence the routes left, though not the tree, are the same in any
+    order on acyclic inputs.
     """
-    nodes: list[_Node] = []
+    triples = list(triples)
+    kind = [LEAF] * len(triples)
+    edge = [e for e, _, _ in triples]
+    s = [u for _, u, _ in triples]
+    t = [v for _, _, v in triples]
+    first = [-1] * len(triples)
+    second = first[:]
+    sibling = first[:]
     out: defaultdict[int, dict[int, int]] = defaultdict(dict)
     inn: defaultdict[int, dict[int, int]] = defaultdict(dict)
-    for eid, u, v in triples:
-        out[u][v] = inn[v][u] = len(nodes)
-        nodes.append(_Node(LEAF, (), eid, u, v))
+    for i, (_, u, v) in enumerate(triples):
+        out[u][v] = inn[v][u] = i
 
     heap = [v for v, succ in out.items()
             if len(succ) == 1 and len(inn[v]) == 1]
     heapq.heapify(heap)
+    heappop, heappush = heapq.heappop, heapq.heappush
     while heap:
-        v = heapq.heappop(heap)
+        v = heappop(heap)
         pred, succ = inn[v], out[v]
         if len(pred) != 1 or len(succ) != 1:
             continue
-        (x, first), = pred.items()
-        (y, second), = succ.items()
-        del out[x][v]
-        del inn[y][v]
+        (x, a), = pred.items()
+        (y, b), = succ.items()
+        outx, inny = out[x], inn[y]
+        del outx[v]
+        del inny[v]
         pred.clear()
         succ.clear()
-        new = len(nodes)
-        nodes.append(_Node(SERIES, (first, second), -1, x, y))
-        old = out[x].get(y)
+        new = len(kind)
+        kind.append(SERIES)
+        s.append(x)
+        t.append(y)
+        first.append(a)
+        second.append(b)
+        sibling.append(-1)
+        sibling[a] = b
+        old = outx.get(y)
         if old is None:
-            out[x][y] = inn[y][x] = new
+            outx[y] = inny[x] = new
             continue
-        if nodes[old].kind == PARALLEL:
-            nodes[old].children.append(new)
+        if kind[old] == PARALLEL:
+            sibling[second[old]] = new
+            second[old] = new
         else:
-            out[x][y] = inn[y][x] = len(nodes)
-            nodes.append(_Node(PARALLEL, [old, new], -1, x, y))
+            outx[y] = inny[x] = new + 1
+            kind.append(PARALLEL)
+            s.append(x)
+            t.append(y)
+            first.append(old)
+            second.append(new)
+            sibling.append(-1)
+            sibling[old] = new
         for w in (x, y):
             if len(out[w]) == 1 and len(inn[w]) == 1:
-                heapq.heappush(heap, w)
+                heappush(heap, w)
 
     remaining = [(x, y, i) for x, succ in out.items() for y, i in succ.items()]
-    return nodes, remaining
+    return NodeStore(kind, edge, s, t, first, second, sibling), remaining
 
 
 def recognize_dsp(graph: DirectedGraph,
@@ -275,38 +353,21 @@ def recognize_dsp(graph: DirectedGraph,
     raise NotDspError(NotDspWitness("w-subdivision", w=w))
 
 
-def _rep_paths(nodes: list[_Node], roots: Iterable[int]) -> dict[int, tuple[int, ...]]:
-    """One representative terminal-to-terminal path per requested subtree."""
-    memo: dict[int, tuple[int, ...]] = {}
-    for root in roots:
-        stack = [root]
-        while stack:
-            i = stack[-1]
-            if i in memo:
-                stack.pop()
-                continue
-            nd = nodes[i]
-            if nd.kind == LEAF:
-                memo[i] = (nd.s, nd.t)
-                stack.pop()
-            elif nd.kind == PARALLEL:
-                first = nd.children[0]
-                if first in memo:
-                    memo[i] = memo[first]
-                    stack.pop()
-                else:
-                    stack.append(first)
-            else:
-                left, right = nd.children
-                if left in memo and right in memo:
-                    memo[i] = memo[left] + memo[right][1:]
-                    stack.pop()
-                else:
-                    if right not in memo:
-                        stack.append(right)
-                    if left not in memo:
-                        stack.append(left)
-    return memo
+def _route_path(nodes: NodeStore, i: int) -> list[int]:
+    """The vertices after the tail of one path through node i's subgraph:
+    the path takes a P node's first child and both children of an S node."""
+    kind, t, first, second = nodes.kind, nodes.t, nodes.first, nodes.second
+    path, stack = [], [i]
+    while stack:
+        j = stack.pop()
+        if kind[j] == LEAF:
+            path.append(t[j])
+        elif kind[j] == PARALLEL:
+            stack.append(first[j])
+        else:
+            stack.append(second[j])
+            stack.append(first[j])
+    return path
 
 
 def _extract_core_witness(graph, remaining, nodes, budget):
@@ -314,21 +375,19 @@ def _extract_core_witness(graph, remaining, nodes, budget):
     core edge back to a path of the original graph. Interior vertices of
     distinct core edges are disjoint by construction, so the expansion is a
     valid subdivision. Returns None when the search exceeds its budget."""
-    core_edges = sorted((x, y) for x, y, _ in remaining)
     node_of = {(x, y): i for x, y, i in remaining}
     try:
-        core = DirectedGraph(graph.n, core_edges)
+        core = DirectedGraph(graph.n, sorted(node_of))
         found = _wsearch.find_w_subdivision_graph(core, budget=budget)
     except BudgetExceededError:
         return None
     if found is None:
         return None
-    reps = _rep_paths(nodes, [node_of[e] for e in core_edges])
     expanded = {}
     for key, path in found.paths.items():
         full = [path[0]]
         for x, y in zip(path, path[1:]):
-            full.extend(reps[node_of[(x, y)]][1:])
+            full.extend(_route_path(nodes, node_of[(x, y)]))
         expanded[key] = tuple(full)
     return _wsearch.WSubdivision(branch=found.branch, paths=expanded)
 

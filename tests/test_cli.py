@@ -144,6 +144,28 @@ def test_check_malformed_solution_subprocess_stderr(tmp_path, w_file):
     assert proc.stderr.startswith("error: solution ")
 
 
+def test_parser_is_built_once_and_reused_across_calls(capsys, tmp_path):
+    # a usage error, a solve and a tree dump in one process give the same
+    # exit codes and stdout as each does in a process of its own
+    from mcps.cli import _build_parser
+    path = tmp_path / "d.el"
+    path.write_text(to_edge_list(fixtures()["diamond"]))
+    calls = [["solve", "--input", str(path)],
+             ["solve", "--input", str(path), "--alpha", "1/2"],
+             ["recognize", "--input", str(path), "--tree"]]
+    src = os.path.dirname(os.path.dirname(mcps.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    alone = [subprocess.run([sys.executable, "-m", "mcps.cli", *argv],
+                            capture_output=True, text=True, env=env, timeout=60)
+             for argv in calls]
+    assert [proc.returncode for proc in alone] == [2, 0, 0]
+    assert "parallel (0,3) cap=2" in alone[2].stdout
+    together = [run(capsys, *argv)[:2] for argv in calls]
+    assert together == [(proc.returncode, proc.stdout) for proc in alone]
+    assert _build_parser() is _build_parser()
+
+
 def test_check_against_oracle_flags_suboptimal(capsys, tmp_path, w_file):
     sol = tmp_path / "full.json"
     sol.write_text(json.dumps({"edges": [[u, v] for u, v in fixtures()["W"].edges]}))

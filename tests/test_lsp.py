@@ -501,3 +501,23 @@ def test_dag_path_sets_over_the_mask_cap_are_a_budget_error(monkeypatch, tmp_pat
     assert cli.main(["med", "--input", str(path)]) == 4
     out = capsys.readouterr()
     assert out.out == "" and out.err == f"budget exceeded: {_OVER_CAP}\n"
+
+
+def test_core_over_the_mask_cap_names_the_core_and_the_input(monkeypatch, tmp_path, capsys):
+    # the shared reduction contracts 4 into the route 3 -> 5, so the core
+    # (n*m = 6 * 6) is over the cap, and smaller than the input (6 * 7)
+    monkeypatch.setattr(lsp_mod, "_MASK_LIMIT_BITS", 35)
+    g = DirectedGraph(6, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5)])
+    message = ("graph too large for exact path-set computation (the reduced core's "
+               "n*m = 36 exceeds the closure-mask cap; the input's n*m is 42)")
+    for query in (check_p1, is_lsp):
+        with pytest.raises(BudgetExceededError) as err:
+            query(DirectedGraph(g.n, g.edges))
+        assert str(err.value) == message
+    path = tmp_path / "g.el"
+    path.write_text(to_edge_list(g))
+    for argv in (["recognize", "--input", str(path)],
+                 ["solve", "--input", str(path), "--alpha", "1/2"]):
+        assert cli.main(argv) == 4
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == f"budget exceeded: {message}\n"

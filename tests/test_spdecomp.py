@@ -3,15 +3,16 @@ from hypothesis import given, settings
 
 from mcps import DirectedGraph, NotDspError, max_flow_value, recognize_dsp
 from mcps.generators import fixtures, gen_random_dsp
-from mcps.spdecomp import LEAF, PARALLEL, SERIES, DecompositionTree, _Node
+from mcps.spdecomp import LEAF, PARALLEL, SERIES, DecompositionTree, NodeStore
 
 from strategies import digraphs, dsp_graphs
 
 
 def test_single_edge_is_leaf_tree():
     tree = recognize_dsp(DirectedGraph(2, [(0, 1)]))
-    root = tree.nodes[tree.root]
-    assert root.kind == LEAF and (root.s, root.t) == (0, 1)
+    nodes, root = tree.nodes, tree.root
+    assert nodes.kind[root] == LEAF and (nodes.s[root], nodes.t[root]) == (0, 1)
+    assert tree.children(root) == []
     assert tree.cap_full[tree.root] == 1
 
 
@@ -86,9 +87,9 @@ def test_edgeless_input_is_an_error():
 
 def test_diamond_tree_shape():
     tree = recognize_dsp(fixtures()["diamond"])
-    root = tree.nodes[tree.root]
-    assert root.kind == PARALLEL
-    assert [tree.nodes[c].kind for c in root.children] == [SERIES, SERIES]
+    kind = tree.nodes.kind
+    assert kind[tree.root] == PARALLEL
+    assert [kind[c] for c in tree.children(tree.root)] == [SERIES, SERIES]
     assert tree.cap_full[tree.root] == 2
     tree.validate()
 
@@ -96,14 +97,6 @@ def test_diamond_tree_shape():
 def test_recognition_is_deterministic():
     g = gen_random_dsp(5, 30)
     assert recognize_dsp(g).dump() == recognize_dsp(g).dump()
-
-
-def test_fold_capacity():
-    tree = recognize_dsp(fixtures()["diamond"])
-    assert tree.fold(range(4)) == tree.cap_full
-    assert all(c == 0 for c in tree.fold([]))
-    # selecting the single route 0->1->3 leaves capacity 1 at the root
-    assert tree.fold([0, 2])[tree.root] == 1
 
 
 def _parallel_routes_graph():
@@ -116,32 +109,46 @@ def test_recognition_puts_terminal_leaf_first():
     g = _parallel_routes_graph()
     tree = recognize_dsp(g)
     tree.validate()
-    root = tree.nodes[tree.root]
-    assert root.kind == PARALLEL and len(root.children) == 3
-    first = tree.nodes[root.children[0]]
-    assert first.kind == LEAF and first.edge == 4
-    assert [tree.nodes[c].kind for c in root.children[1:]] == [SERIES, SERIES]
+    kind, children = tree.nodes.kind, tree.children(tree.root)
+    assert kind[tree.root] == PARALLEL and len(children) == 3
+    first = children[0]
+    assert kind[first] == LEAF and tree.nodes.edge[first] == 4
+    assert [kind[c] for c in children[1:]] == [SERIES, SERIES]
     assert tree.cap_full[tree.root] == 3
 
 
-def _leaf(edge, g):
-    u, v = g.edges[edge]
-    return _Node(LEAF, (), edge, u, v)
+def _hand_built_tree(g, leaf_edges, inner):
+    """A tree over a node store built by hand: one leaf per edge id in
+    `leaf_edges`, then the inner nodes (kind, children) on the terminals
+    (0, 1), the last of them the root."""
+    size = len(leaf_edges) + len(inner)
+    nodes = NodeStore(
+        kind=[LEAF] * len(leaf_edges) + [k for k, _ in inner],
+        edge=list(leaf_edges),
+        s=[g.edges[e][0] for e in leaf_edges] + [0] * len(inner),
+        t=[g.edges[e][1] for e in leaf_edges] + [1] * len(inner),
+        first=[-1] * size, second=[-1] * size, sibling=[-1] * size)
+    for i, (_, children) in enumerate(inner, len(leaf_edges)):
+        nodes.first[i], nodes.second[i] = children[0], children[-1]
+        for a, b in zip(children, children[1:]):
+            nodes.sibling[a] = b
+    return DecompositionTree(g, nodes, size - 1)
 
 
-@pytest.mark.parametrize("p_nodes", [
-    [_Node(PARALLEL, [4, 5], -1, 0, 1), _Node(PARALLEL, [7, 6], -1, 0, 1)],  # P child
-    [_Node(PARALLEL, [5, 4, 6], -1, 0, 1)],                                  # late leaf
-], ids=["p-child", "late-leaf"])
-def test_validate_rejects_unflattened_parallel_nodes(p_nodes):
-    g = _parallel_routes_graph()
-    nodes = [_leaf(e, g) for e in range(5)] + [
-        _Node(SERIES, (0, 1), -1, 0, 1),  # 5: route A
-        _Node(SERIES, (2, 3), -1, 0, 1),  # 6: route B
-    ] + p_nodes
-    tree = DecompositionTree(g, nodes, len(nodes) - 1)
-    assert tree.cap_full[tree.root] == 3
-    with pytest.raises(AssertionError):
+# nodes 5 and 6 are S nodes over the two routes 0->2->1 and 0->3->1 (4 when
+# edge 4 has no leaf); the P nodes above them are the corruptions
+_ROUTES = [(SERIES, [0, 1]), (SERIES, [2, 3])]
+
+
+@pytest.mark.parametrize("leaf_edges,inner,cap,message", [
+    (range(5), _ROUTES + [(PARALLEL, [4, 5]), (PARALLEL, [7, 6])], 3, "has a P child"),
+    (range(5), _ROUTES + [(PARALLEL, [5, 4, 6])], 3, "has a leaf after its first child"),
+    (range(4), _ROUTES + [(PARALLEL, [4, 5])], 2, "leaves do not biject"),
+], ids=["p-child", "late-leaf", "edge-without-leaf"])
+def test_validate_rejects_unflattened_parallel_nodes(leaf_edges, inner, cap, message):
+    tree = _hand_built_tree(_parallel_routes_graph(), leaf_edges, inner)
+    assert tree.cap_full[tree.root] == cap
+    with pytest.raises(AssertionError, match=message):
         tree.validate()
 
 
@@ -151,8 +158,9 @@ def test_cap_full_matches_flow_at_every_node(g):
     tree = recognize_dsp(g)
     tree.validate()
     leaf_sets = _leaf_sets(tree)
-    for i, nd in enumerate(tree.nodes):
-        sub_flow = max_flow_value(g, nd.s, nd.t, edges=leaf_sets[i])
+    nodes = tree.nodes
+    for i in range(len(nodes.kind)):
+        sub_flow = max_flow_value(g, nodes.s[i], nodes.t[i], edges=leaf_sets[i])
         assert tree.cap_full[i] == sub_flow
 
 
@@ -164,25 +172,27 @@ def test_clean_tree_terminal_edge_invariant(g):
     tree = recognize_dsp(g)
     tree.validate()
     leaf_sets = _leaf_sets(tree)
-    for i, nd in enumerate(tree.nodes):
-        if nd.kind != PARALLEL:
+    nodes = tree.nodes
+    for i in range(len(nodes.kind)):
+        if nodes.kind[i] != PARALLEL:
             continue
-        assert all(tree.nodes[c].kind != PARALLEL for c in nd.children)
-        terminal_edge = g.edge_index(nd.s, nd.t)
+        children = tree.children(i)
+        assert all(nodes.kind[c] != PARALLEL for c in children)
+        terminal_edge = g.edge_index(nodes.s[i], nodes.t[i])
         if terminal_edge is None or terminal_edge not in leaf_sets[i]:
             continue
-        first = tree.nodes[nd.children[0]]
-        assert first.kind == LEAF and first.edge == terminal_edge
+        first = children[0]
+        assert nodes.kind[first] == LEAF and nodes.edge[first] == terminal_edge
 
 
 def _leaf_sets(tree):
-    sets = [set() for _ in tree.nodes]
+    nodes = tree.nodes
+    sets = [set() for _ in nodes.kind]
     for i in tree.postorder:
-        nd = tree.nodes[i]
-        if nd.kind == LEAF:
-            sets[i] = {nd.edge}
+        if nodes.kind[i] == LEAF:
+            sets[i] = {nodes.edge[i]}
         else:
-            sets[i] = set().union(*(sets[c] for c in nd.children))
+            sets[i] = set().union(*(sets[c] for c in tree.children(i)))
     return sets
 
 
@@ -197,21 +207,10 @@ def test_cap_full_matches_flow_on_larger_dsps(seed, target):
     g = gen_random_dsp(seed, target)
     tree = recognize_dsp(g)
     leaf_sets = _leaf_sets(tree)
-    for i, nd in enumerate(tree.nodes):
-        assert tree.cap_full[i] == max_flow_value(g, nd.s, nd.t, edges=leaf_sets[i])
-
-
-@settings(max_examples=40, deadline=None)
-@given(dsp_graphs(max_edges=14))
-def test_folded_capacity_equals_flow_of_selection(g):
-    import random as _random
-    tree = recognize_dsp(g)
-    root = tree.nodes[tree.root]
-    rng = _random.Random(g.m)
-    for _ in range(3):
-        sel = [e for e in range(g.m) if rng.random() < 0.6]
-        assert tree.fold(sel)[tree.root] == \
-            max_flow_value(g, root.s, root.t, edges=sel)
+    nodes = tree.nodes
+    for i in range(len(nodes.kind)):
+        assert tree.cap_full[i] == max_flow_value(g, nodes.s[i], nodes.t[i],
+                                                  edges=leaf_sets[i])
 
 
 @settings(max_examples=40, deadline=None)
@@ -220,6 +219,51 @@ def test_terminal_pair_capacity_is_tree_local(g):
     # at every P node with a terminal-edge child, all paths between the
     # terminals stay inside the subtree, so the folded capacity is global
     tree = recognize_dsp(g)
-    for i, nd in enumerate(tree.nodes):
-        if nd.kind == PARALLEL and tree.nodes[nd.children[0]].kind == LEAF:
-            assert tree.cap_full[i] == max_flow_value(g, nd.s, nd.t)
+    nodes = tree.nodes
+    for i in range(len(nodes.kind)):
+        if nodes.kind[i] == PARALLEL and nodes.kind[nodes.first[i]] == LEAF:
+            assert tree.cap_full[i] == max_flow_value(g, nodes.s[i], nodes.t[i])
+
+
+# sha256 of `recognize_dsp(g).dump()`, recorded before the node store was
+# made flat: they pin the contraction order and the P-child order
+_PINNED_DUMPS = {
+    "triangle_chord": "f9455cbf408cb0031e34a99121161c947454a50b95345f9496bfef06e1206d83",
+    "diamond": "f425c824831283fbed9de1e74e268d1c47bc0750d3c7ff36162d5798c9b97161",
+    ("random", 1): "4105a6613a4a7aa9cb8dd87dfdf966d49d1d4d0990e9bd78f515a524ed489c17",
+    ("random", 2): "f03d1bbf1117b2948318ba4f4faf862e070278f3d0e4de5973bf0819bda69b5e",
+    ("random", 3): "477765bd4b7b17b9317e937ab7729d6a03d8860d26dc1add7398665dad6c21c1",
+}
+
+
+def test_tree_dumps_match_pinned_hashes():
+    import hashlib
+    fx = fixtures()
+    dsp_fixtures = set()
+    for name, g in fx.items():
+        try:
+            recognize_dsp(g)
+        except NotDspError:
+            continue
+        dsp_fixtures.add(name)
+    assert dsp_fixtures == {k for k in _PINNED_DUMPS if isinstance(k, str)}
+    for key, digest in _PINNED_DUMPS.items():
+        g = fx[key] if isinstance(key, str) else gen_random_dsp(key[1], 300)
+        dump = recognize_dsp(g).dump()
+        assert hashlib.sha256(dump.encode()).hexdigest() == digest, key
+
+
+@pytest.mark.parametrize("build,paths", [
+    (lambda: fixtures()["w_plus"],
+     {"a->b": (0, 1), "a->c": (0, 2), "b->c": (1, 2), "b->d": (1, 3), "c->d": (2, 3)}),
+    # a random DSP with one extra edge: the witness runs through contracted routes
+    (lambda: DirectedGraph(32, list(gen_random_dsp(7, 40).edges) + [(0, 4)]),
+     {"a->b": (0, 3), "a->c": (0, 4), "b->c": (3, 5, 4), "b->d": (3, 2), "c->d": (4, 6, 2)}),
+], ids=["w_plus", "random-dsp-plus-edge"])
+def test_near_miss_w_witness_paths_are_pinned(build, paths):
+    g = build()
+    with pytest.raises(NotDspError) as err:
+        recognize_dsp(g)
+    w = err.value.witness.w
+    assert w is not None and w.paths == paths
+    w.validate(g)
