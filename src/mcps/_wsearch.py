@@ -30,16 +30,6 @@ class WSubdivision:
     branch: tuple[int, int, int, int]
     paths: dict[str, tuple[int, ...]]
 
-    def edge_indices(self, graph: DirectedGraph) -> frozenset[int]:
-        found = set()
-        for path in self.paths.values():
-            for u, v in zip(path, path[1:]):
-                i = graph.edge_index(u, v)
-                if i is None:
-                    raise ValueError(f"witness uses missing edge ({u}, {v})")
-                found.add(i)
-        return frozenset(found)
-
     def validate(self, graph: DirectedGraph) -> None:
         """Check the witness is a subdivision of W embedded in the graph."""
         a, b, c, d = self.branch

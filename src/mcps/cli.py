@@ -16,11 +16,10 @@ from fractions import Fraction
 from typing import Optional
 
 from . import generators, oracle, solver
-from .errors import (BudgetExceededError, EdgeListParseError, McpsError,
-                     NotDspError, NotLspError)
+from .errors import BudgetExceededError, McpsError, NotDspError, NotLspError
 from .flow import RetentionRatio, check_all_pairs, max_flow_value
 from .graphs import DirectedGraph, EdgeSet, parse_edge_list, to_dot, to_edge_list
-from .lsp import LspVerdict, is_lsp
+from .lsp import is_lsp
 from .spdecomp import recognize_dsp
 
 EXIT_OK = 0
@@ -71,26 +70,16 @@ def _cmd_solve(args) -> int:
 
 def _cmd_recognize(args) -> int:
     graph = _read_graph(args.input)
-    lines: list[str] = []
-    tree = None
+    tree = dsp_witness = None
     try:
         tree = recognize_dsp(graph)
-        lines.append("dsp: yes")
-        dsp_witness = None
     except NotDspError as err:
-        lines.append("dsp: no")
         dsp_witness = err.witness
     except ValueError:
-        # edgeless input: vacuously not a two-terminal DSP, still an LSP
-        lines.append("dsp: no")
-        dsp_witness = None
-    if tree is not None:
-        # series-parallel graphs always satisfy both class properties; skip
-        # the quadratic check (and its closure masks) on large inputs
-        verdict = LspVerdict(is_lsp=True, p1_witness=None, p2_witness=None)
-    else:
-        verdict = is_lsp(graph)
-    lines.append(f"lsp: {'yes' if verdict.is_lsp else 'no'}")
+        pass  # edgeless input: vacuously not a two-terminal DSP, still an LSP
+    verdict = is_lsp(graph)
+    lines = [f"dsp: {'no' if tree is None else 'yes'}",
+             f"lsp: {'yes' if verdict.is_lsp else 'no'}"]
     if dsp_witness is not None:
         lines.extend(_witness_lines(dsp_witness))
     if verdict.p1_witness is not None:
@@ -332,9 +321,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         if getattr(args, "oracle_budget", 0) < 0:
             raise ValueError(f"--oracle-budget must be nonnegative, got {args.oracle_budget}")
         return args.func(args)
-    except (EdgeListParseError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
     except NotDspError as err:
         print(f"precondition violation: {err}", file=sys.stderr)
         for line in _witness_lines(err.witness):
@@ -346,10 +332,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except BudgetExceededError as err:
         print(f"budget exceeded: {err}", file=sys.stderr)
         return EXIT_BUDGET
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except McpsError as err:
+    except (ValueError, OSError, McpsError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -40,13 +40,11 @@ class DirectedGraph:
     which are idempotent to recompute.
     """
 
-    __slots__ = ("n", "edges", "labels", "meta", "orig_index",
-                 "_out", "_in", "_edge_index", "_cache")
+    __slots__ = ("n", "edges", "labels", "meta", "_out", "_in", "_edge_index", "_cache")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]],
                  labels: Optional[dict[int, str]] = None,
-                 meta: Optional[dict] = None,
-                 orig_index: Optional[tuple[int, ...]] = None):
+                 meta: Optional[dict] = None):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -68,7 +66,6 @@ class DirectedGraph:
         self.edges = tuple(edge_index)
         self.labels = dict(labels) if labels else {}
         self.meta = dict(meta) if meta else {}
-        self.orig_index = orig_index
         self._out = out
         self._in = inc
         self._edge_index = edge_index
@@ -120,10 +117,9 @@ class DirectedGraph:
         return seen
 
     def spanning_subgraph(self, edge_set: "EdgeSet | Iterable[int]") -> "DirectedGraph":
-        """Same vertex set, exactly the given edges; original indices kept."""
+        """Same vertex set, exactly the given edges, in index order."""
         indices = _as_sorted_indices(edge_set, self.m)
-        return DirectedGraph(self.n, [self.edges[i] for i in indices],
-                             labels=self.labels, orig_index=tuple(indices))
+        return DirectedGraph(self.n, [self.edges[i] for i in indices], labels=self.labels)
 
     def is_acyclic(self) -> bool:
         return self.topological_order() is not None
@@ -346,6 +342,5 @@ def induced_on_edges(graph: DirectedGraph, indices: Iterable[int]) -> tuple[Dire
     idx = sorted(set(indices))
     verts = sorted({w for i in idx for w in graph.edges[i]})
     vmap = {w: k for k, w in enumerate(verts)}
-    sub = DirectedGraph(len(verts), [(vmap[graph.edges[i][0]], vmap[graph.edges[i][1]]) for i in idx],
-                        orig_index=tuple(idx))
+    sub = DirectedGraph(len(verts), [(vmap[graph.edges[i][0]], vmap[graph.edges[i][1]]) for i in idx])
     return sub, verts

@@ -4,15 +4,16 @@ into the independent DSP blocks the LSP solver works on, edge subdivision,
 and W-subdivision search.
 
 Every path-induced edge set P(s, t) is read from one table, `_pair_edges`,
-as an edge bitmask. On DAGs an exact shortcut applies: edge (x, y) lies on
-a simple s-t path iff x is reachable from s and t is reachable from y, so
-P(s, t) is `from_mask[s] & to_mask[t]` over per-vertex closure masks built
-in O(m) big-integer operations. The masks take n * m bits, so above
-_MASK_LIMIT_BITS every DAG query raises BudgetExceededError. Deciding
-whether an edge lies on a simple s-t path is NP-hard on general digraphs,
-so on cyclic graphs the table walks every simple path from s once, under a
-hard step budget of DEFAULT_PATH_BUDGET * (n - 1) path prefixes per source,
-and caches the whole row P(s, *) on the graph.
+as an edge bitmask. On DAGs edge (x, y) lies on a simple s-t path iff s
+reaches x and y reaches t, so P(s, t) is `from_mask[s] & to_mask[t]` over
+per-vertex closure masks built in O(m) big-integer operations. The masks
+take n * m bits, so above _MASK_LIMIT_BITS a query raises
+BudgetExceededError; P1, P2, the EAS family and the MEAS blocks of a DAG
+query only the routes left by one reduction of the whole graph
+(`_dag_core`). Deciding whether an edge lies on a simple s-t path is NP-hard
+on general digraphs, so on cyclic graphs the table walks every simple path
+from s once, under a hard step budget of DEFAULT_PATH_BUDGET * (n - 1) path
+prefixes per source, and caches each row P(s, *) on the graph.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from . import _wsearch
+from ._wsearch import find_w_subdivision_graph as find_w_subdivision
 from .errors import BudgetExceededError, NotLspError
 from .graphs import DirectedGraph, EdgeSet
-from .spdecomp import _reduce
+from .spdecomp import NodeStore, _leaf_edges, _reduce, _terminal_edge_leaves
 
 DEFAULT_PATH_BUDGET = 2_000_000
 
@@ -173,10 +174,12 @@ class EasFamily:
 
 
 def eas_family(graph: DirectedGraph) -> EasFamily:
-    """Each edge's EAS set P(u, v), read from row u of the path table."""
+    """Each edge's EAS set P(u, v): on a DAG from its shared reduction
+    (`_dag_eas_sets`), on a cyclic graph from row u of the path table."""
     if "eas_family" in graph._cache:
         return graph._cache["eas_family"]
-    sets = tuple(frozenset(_iter_bits(_pair_edges(graph, u, v))) for u, v in graph.edges)
+    sets = (_dag_eas_sets(graph) if graph.is_acyclic() else
+            tuple(frozenset(_iter_bits(_pair_edges(graph, u, v))) for u, v in graph.edges))
     fam = EasFamily(sets)
     graph._cache["eas_family"] = fam
     return fam
@@ -244,11 +247,52 @@ def _pair_fails(graph: DirectedGraph, s: int, t: int) -> bool:
         graph, _iter_bits(mask), s, t)
 
 
+def _dag_core(graph: DirectedGraph) -> tuple[NodeStore, list, DirectedGraph]:
+    """The one series-parallel reduction of a DAG, cached on the graph: its
+    node store (leaf i is edge i), the routes left (the core) as (tail,
+    head, node id), and the core as a graph on the host's vertices whose
+    edge r is route r. Raises BudgetExceededError if the core is over the cap."""
+    if "dag_core" in graph._cache:
+        return graph._cache["dag_core"]
+    nodes, core = _reduce((i, u, v) for i, (u, v) in enumerate(graph.edges))
+    if len(core) < graph.m and graph.n * len(core) > _MASK_LIMIT_BITS:
+        raise BudgetExceededError(
+            f"graph too large for exact path-set computation (the reduced core's "
+            f"n*m = {graph.n * len(core)} exceeds the closure-mask cap; "
+            f"the input's n*m is {graph.n * graph.m})")
+    core_graph = DirectedGraph(graph.n, [(x, y) for x, y, _ in core])
+    graph._cache["dag_core"] = result = (nodes, core, core_graph)
+    return result
+
+
+def _dag_eas_sets(graph: DirectedGraph) -> tuple[frozenset[int], ...]:
+    """Each edge's EAS set on a DAG, from the shared reduction (`_dag_core`).
+
+    Take e = (u, v). If u and v are both left in the core, P(u, v) is the
+    union of the core routes in the core's own P(u, v), by the argument of
+    `_first_failing_terminal_pair`. Otherwise u or v was contracted, and the
+    route on (u, v) holding e was then its only route out of u or into v;
+    every u-v path stays inside that route and every edge of it lies on one,
+    so P(u, v) is its edges: the leaves of the P node whose first child is
+    e, or e alone.
+    """
+    nodes, core, core_graph = _dag_core(graph)
+    sets = [frozenset((e,)) for e in range(graph.m)]
+    for e, leaves in _terminal_edge_leaves(nodes):
+        sets[e] = frozenset(leaves)
+    route_leaves = [_leaf_edges(nodes, i) for _, _, i in core]
+    for e, (u, v) in enumerate(graph.edges):
+        if core_graph.out_degree(u) and core_graph.in_degree(v):
+            routes = _iter_bits(_pair_edges(core_graph, u, v))
+            sets[e] = frozenset(x for r in routes for x in route_leaves[r])
+    return tuple(sets)
+
+
 def _first_failing_terminal_pair(graph: DirectedGraph, sources: list[int],
                                  sinks: list[int]) -> Optional[tuple[int, int]]:
     """The first source x sink pair (sources, then sinks, in id order) whose
-    P(s, t) is not a DSP on (s, t), or None, on a DAG, from one shared
-    reduction.
+    P(s, t) is not a DSP on (s, t), or None, on a DAG, from its shared
+    reduction (`_dag_core`).
 
     The whole DAG is reduced once, and each pair is decided on the routes
     left (the core). On a DAG an edge is in P(s, t) iff s reaches its tail
@@ -262,13 +306,7 @@ def _first_failing_terminal_pair(graph: DirectedGraph, sources: list[int],
     as a graph on the host's vertices (`_pair_edges`); and by confluence
     (see `spdecomp`) reducing them ends as reducing P(s, t) itself would.
     """
-    _, core = _reduce((i, u, v) for i, (u, v) in enumerate(graph.edges))
-    if len(core) < graph.m and graph.n * len(core) > _MASK_LIMIT_BITS:
-        raise BudgetExceededError(
-            f"graph too large for exact path-set computation (the reduced core's "
-            f"n*m = {graph.n * len(core)} exceeds the closure-mask cap; "
-            f"the input's n*m is {graph.n * graph.m})")
-    core_graph = DirectedGraph(graph.n, [(x, y) for x, y, _ in core])
+    core_graph = _dag_core(graph)[2]
     for s in sources:
         for t in sinks:
             if _pair_fails(core_graph, s, t):
@@ -287,10 +325,10 @@ def check_p1(graph: DirectedGraph) -> tuple[bool, Optional[tuple[int, int]]]:
     On DAGs only source x sink pairs need recognition: every nonempty
     P(s, t) embeds in some P(source, sink) there, and pair subgraphs of a
     DSP are again DSPs, so those recognitions decide all pairs at once. They
-    share one reduction of the whole DAG (`_first_failing_terminal_pair`),
-    and each pair reduces only the routes that one leaves. A failing DAG is
-    then rescanned pair by pair on the path table (`_pair_edges`) for the
-    id-order witness, but only up to n = _CANONICAL_RESCAN_LIMIT; above it
+    share one reduction of the whole DAG (`_dag_core`), and each pair
+    reduces only the routes it leaves. A failing DAG is then rescanned pair
+    by pair on the path table (`_pair_edges`) for the id-order witness, but
+    only up to n = _CANONICAL_RESCAN_LIMIT; above it
     the witness is the first failing source x sink pair (sources, then
     sinks, in id order), which need not be the first failing pair in id
     order. Cyclic graphs go straight to the pair-by-pair scan, at every
@@ -355,9 +393,3 @@ def subdivide(graph: DirectedGraph) -> DirectedGraph:
         edges.append((u, x))
         edges.append((x, v))
     return DirectedGraph(graph.n + graph.m, edges, labels=graph.labels)
-
-
-def find_w_subdivision(graph: DirectedGraph,
-                       budget: int = _wsearch.DEFAULT_BUDGET) -> Optional[_wsearch.WSubdivision]:
-    """First embedded subdivision of the forbidden graph W, or None."""
-    return _wsearch.find_w_subdivision_graph(graph, budget=budget)

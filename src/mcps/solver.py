@@ -90,31 +90,16 @@ def _is_strongly_connected(graph: DirectedGraph) -> bool:
             and len(graph.reaching(0)) == graph.n)
 
 
-def _is_hamiltonian_cycle(graph: DirectedGraph, edge_set: EdgeSet) -> bool:
-    if graph.n < 2 or len(edge_set) != graph.n:
-        return False
-    succ: dict[int, int] = {}
-    for u, v in edge_set.pairs(graph):
-        if u in succ:
-            return False
-        succ[u] = v
-    if len(succ) != graph.n:
-        return False
-    seen = {0}
-    v = succ[0]
-    while v not in seen:
-        seen.add(v)
-        v = succ[v]
-    return v == 0 and len(seen) == graph.n
-
-
 def extract_mscs_or_hamiltonian(graph: DirectedGraph) -> tuple[Solution, str]:
     """MED plus a classification: "hamiltonian-cycle" when the result is a
     single directed cycle through all vertices, "mscs" when the input is
     strongly connected, else "not-strongly-connected"."""
     sol = solve_med(graph)
     if _is_strongly_connected(graph):
-        if _is_hamiltonian_cycle(graph, sol.edges):
+        # the MED keeps the graph strongly connected, so with n >= 2 every
+        # vertex keeps an edge in and out; n edges leave exactly one of
+        # each, which on a strongly connected graph is a Hamiltonian cycle
+        if graph.n >= 2 and sol.objective == graph.n:
             return sol, "hamiltonian-cycle"
         return sol, "mscs"
     return sol, "not-strongly-connected"

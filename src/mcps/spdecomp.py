@@ -46,7 +46,7 @@ import heapq
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import BudgetExceededError, NotDspError
 from .flow import RetentionRatio
@@ -194,6 +194,20 @@ def _postorder(nodes: NodeStore, root: int) -> list[int]:
     return order
 
 
+def _leaf_edges(nodes: NodeStore, i: int) -> list[int]:
+    """The host edge ids of the leaves under node i."""
+    leaves = len(nodes.edge)  # the leaves are nodes 0 .. leaves - 1
+    return [nodes.edge[j] for j in _postorder(nodes, i) if j < leaves]
+
+
+def _terminal_edge_leaves(nodes: NodeStore) -> Iterator[tuple[int, list[int]]]:
+    """(terminal edge id, the node's `_leaf_edges`) for every P node whose
+    first child is the leaf of the edge joining its terminals."""
+    kind, first = nodes.kind, nodes.first
+    return ((nodes.edge[first[i]], _leaf_edges(nodes, i)) for i, k in enumerate(kind)
+            if k == PARALLEL and kind[first[i]] == LEAF)
+
+
 def _fold(nodes: NodeStore, root: int, alpha: RetentionRatio
           ) -> tuple[list[int], set[int], int]:
     """The DSP fold over the subtree at `root`: (full capacity per node, kept
@@ -263,18 +277,20 @@ def _reduce(triples: Iterable[tuple[int, int, int]]
     confluence the routes left, though not the tree, are the same in any
     order on acyclic inputs.
     """
-    triples = list(triples)
-    kind = [LEAF] * len(triples)
-    edge = [e for e, _, _ in triples]
-    s = [u for _, u, _ in triples]
-    t = [v for _, _, v in triples]
-    first = [-1] * len(triples)
-    second = first[:]
-    sibling = first[:]
+    edge: list[int] = []
+    s: list[int] = []
+    t: list[int] = []
     out: defaultdict[int, dict[int, int]] = defaultdict(dict)
     inn: defaultdict[int, dict[int, int]] = defaultdict(dict)
-    for i, (_, u, v) in enumerate(triples):
+    for i, (e, u, v) in enumerate(triples):
+        edge.append(e)
+        s.append(u)
+        t.append(v)
         out[u][v] = inn[v][u] = i
+    kind = [LEAF] * len(edge)
+    first = [-1] * len(edge)
+    second = first[:]
+    sibling = first[:]
 
     heap = [v for v, succ in out.items()
             if len(succ) == 1 and len(inn[v]) == 1]
@@ -324,8 +340,7 @@ def _reduce(triples: Iterable[tuple[int, int, int]]
     return NodeStore(kind, edge, s, t, first, second, sibling), remaining
 
 
-def recognize_dsp(graph: DirectedGraph,
-                  witness_budget: int = _wsearch.DEFAULT_BUDGET) -> DecompositionTree:
+def recognize_dsp(graph: DirectedGraph) -> DecompositionTree:
     """Decompose a two-terminal series-parallel digraph, or raise NotDspError.
 
     The tree is deterministic (see `_reduce`). A rejection reports the
@@ -349,7 +364,7 @@ def recognize_dsp(graph: DirectedGraph,
         raise NotDspError(NotDspWitness("multiple-sources", sources=tuple(srcs)))
     if len(snks) != 1:
         raise NotDspError(NotDspWitness("multiple-sinks", sinks=tuple(snks)))
-    w = _extract_core_witness(graph, remaining, nodes, witness_budget)
+    w = _extract_core_witness(graph, remaining, nodes)
     raise NotDspError(NotDspWitness("w-subdivision", w=w))
 
 
@@ -370,7 +385,7 @@ def _route_path(nodes: NodeStore, i: int) -> list[int]:
     return path
 
 
-def _extract_core_witness(graph, remaining, nodes, budget):
+def _extract_core_witness(graph, remaining, nodes):
     """Search the stuck reduction core for a W-subdivision, then expand each
     core edge back to a path of the original graph. Interior vertices of
     distinct core edges are disjoint by construction, so the expansion is a
@@ -378,7 +393,7 @@ def _extract_core_witness(graph, remaining, nodes, budget):
     node_of = {(x, y): i for x, y, i in remaining}
     try:
         core = DirectedGraph(graph.n, sorted(node_of))
-        found = _wsearch.find_w_subdivision_graph(core, budget=budget)
+        found = _wsearch.find_w_subdivision_graph(core)
     except BudgetExceededError:
         return None
     if found is None:

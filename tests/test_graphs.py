@@ -73,7 +73,6 @@ def test_spanning_subgraph():
     assert empty.n == w.n and empty.m == 0
     path = w.spanning_subgraph(EdgeSet.from_pairs(w, [(0, 1), (1, 3)]))
     assert path.edges == ((0, 1), (1, 3))
-    assert path.orig_index == (0, 2)
 
 
 def test_to_dot():

@@ -208,7 +208,10 @@ def test_p2_and_every_block_dsp_do_not_imply_p1():
 
 
 def test_check_p1_reduces_a_dag_once_then_only_core_routes(monkeypatch):
-    calls = []
+    # Across P1 and P2 (and the EAS family, the MEAS blocks and MED they
+    # feed) a DAG is reduced whole once, later reductions take only core
+    # routes, and the only closure masks built are the core's.
+    calls, masked = [], []
 
     def counting(triples):
         triples = list(triples)
@@ -216,19 +219,83 @@ def test_check_p1_reduces_a_dag_once_then_only_core_routes(monkeypatch):
         calls.append((len(triples), len(remaining)))
         return nodes, remaining
 
-    real_reduce = lsp_mod._reduce
+    def recording(graph):
+        masked.append(graph)
+        return real_masks(graph)
+
+    real_reduce, real_masks = lsp_mod._reduce, lsp_mod._closure_edge_masks
     monkeypatch.setattr(lsp_mod, "_reduce", counting)
+    monkeypatch.setattr(lsp_mod, "_closure_edge_masks", recording)
     checked = 0
     for seed in range(8):
         g = gen_random_lsp(seed, blocks=5, block_edges=(3, 10), cyclic_prob=0,
                            bipartite_prob=0.3)
-        calls.clear()
-        assert check_p1(DirectedGraph(g.n, g.edges)) == (True, None)
-        (first_in, core), *later = calls
-        assert first_in == g.m and sum(size == g.m for size, _ in calls) == 1
-        assert all(size <= core for size, _ in later), (seed, core, later)
-        checked += bool(later)
+        for run in (check_p1, is_lsp):
+            host = DirectedGraph(g.n, g.edges)
+            calls.clear()
+            masked.clear()
+            if run is check_p1:
+                assert check_p1(host) == (True, None)
+            else:
+                assert is_lsp(host) == mcps.LspVerdict(True, None, None)
+                meas_partition(host)
+                solve_med(host)
+            (first_in, core), *later = calls
+            assert first_in == g.m and sum(size == g.m for size, _ in calls) == 1
+            assert all(size <= core for size, _ in later), (seed, core, later)
+            assert masked and all(m is not host and m.m == core for m in masked)
+            checked += bool(later)
     assert checked  # some graph needed per-pair reductions on its core
+
+
+def _fresh_answers(g, path, capsys):
+    """Every LSP answer on g, each from a fresh copy of the graph, and the
+    CLI's output for med, solve --mode lsp and recognize --tree on path."""
+    def fresh():
+        return DirectedGraph(g.n, g.edges)
+
+    def solution(sol):
+        return sol.objective, sol.mcps_star, sorted(sol.edges)
+
+    out = [is_lsp(fresh()), [sorted(b) for b in meas_partition(fresh())],
+           solution(solve_lsp(fresh(), RetentionRatio(2, 3))), solution(solve_med(fresh()))]
+    for argv in (["med", "--input", path],
+                 ["solve", "--mode", "lsp", "--alpha", "2/3", "--input", path],
+                 ["recognize", "--tree", "--input", path]):
+        code = cli.main(argv)
+        out.append((code, *capsys.readouterr()))
+    return out
+
+
+@pytest.mark.parametrize("g", [
+    gen_random_dsp(3, 40),
+    gen_random_lsp(5, blocks=6, block_edges=(3, 10), cyclic_prob=0, bipartite_prob=0.3),
+], ids=["dsp", "lsp-dag"])
+def test_dag_over_the_mask_cap_answers_when_its_core_fits(g, monkeypatch, tmp_path, capsys):
+    # With the cap at the core's n*m, below the input's, every answer that
+    # reads the EAS family stays as it was; a host path query still raises.
+    path = str(tmp_path / "g.el")
+    (tmp_path / "g.el").write_text(to_edge_list(g))
+    before = _fresh_answers(g, path, capsys)
+    assert before[0].is_lsp and all(code == 0 for code, _, _ in before[4:])
+    core = len(lsp_mod._dag_core(DirectedGraph(g.n, g.edges))[1])
+    assert core < g.m
+    monkeypatch.setattr(lsp_mod, "_MASK_LIMIT_BITS", g.n * core)
+    assert _fresh_answers(g, path, capsys) == before
+    u, v = g.edges[0]
+    with pytest.raises(BudgetExceededError, match=f"^{_OVER_CAP_PREFIX}"):
+        path_induced(DirectedGraph(g.n, g.edges), u, v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs(max_n=9, max_m=18, acyclic=True), st.data())
+@example(fixtures()["W"], None)
+@example(gen_random_dsp(7, 15), None)
+def test_dag_eas_family_from_the_shared_reduction_matches_path_induced(g, data):
+    if data is not None:
+        g = _relabeled(g, data.draw(st.permutations(range(g.n))))
+    host = DirectedGraph(g.n, g.edges)  # path_induced reads the host's own masks
+    assert eas_family(g).sets == tuple(path_induced(host, u, v) for u, v in g.edges)
 
 
 def _recognized_terminals(g, edges):
@@ -483,6 +550,7 @@ def test_gen_random_dsp_accepted_and_w_free():
         assert check_p1(g) == (True, None)
 
 
+_OVER_CAP_PREFIX = r"graph too large for exact path-set computation \(n\*m = "
 _OVER_CAP = ("graph too large for exact path-set computation "
              "(n*m = 20 exceeds the closure-mask cap)")
 

@@ -9,7 +9,7 @@ from mcps import (DirectedGraph, EdgeSet, McpsError, NotDspError, NotLspError,
 from mcps import oracle, solver
 from mcps.solution import Solution
 from mcps.generators import (example_reduction_artifact, fixtures,
-                             brute_force_set_cover, sc_to_mcps_solution)
+                             brute_force_set_cover, gen_random_lsp, sc_to_mcps_solution)
 
 from path_reference import enumerate_simple_path_edges
 from strategies import dsp_graphs, lsp_graphs
@@ -107,6 +107,49 @@ def test_extract_mscs_or_hamiltonian():
     sol, kind = extract_mscs_or_hamiltonian(fixtures()["diamond_ring"])
     assert kind == "mscs"
     assert sol.objective == len(oracle.brute_force_med(fixtures()["diamond_ring"]))
+
+
+def _hamiltonian_by_successor_walk(g, edge_set):
+    """Whether the edges form one directed cycle through every vertex: each
+    vertex has exactly one successor and the walk from 0 returns to 0 after
+    visiting all n vertices."""
+    succ = {}
+    for u, v in edge_set.pairs(g):
+        if u in succ:
+            return False
+        succ[u] = v
+    if g.n < 2 or len(succ) != g.n:
+        return False
+    walk, v = [0], succ[0]
+    while v != 0 and len(walk) <= g.n:
+        walk.append(v)
+        v = succ[v]
+    return v == 0 and len(walk) == g.n
+
+
+def test_extract_mscs_or_hamiltonian_matches_a_successor_walk():
+    graphs = [(name, g) for name, g in sorted(fixtures().items())]
+    graphs += [(f"lsp {seed}", gen_random_lsp(seed)) for seed in range(50)]
+    graphs += [(f"cyclic block {seed}", gen_random_lsp(seed, blocks=1, cyclic_prob=1.0,
+                                                       bipartite_prob=0.0))
+               for seed in range(50)]
+    kinds = set()
+    for name, g in graphs:
+        if not solver.is_lsp(g).is_lsp:
+            with pytest.raises(NotLspError):
+                extract_mscs_or_hamiltonian(g)
+            continue
+        sol, kind = extract_mscs_or_hamiltonian(g)
+        strong = g.n <= 1 or (len(g.reachable_from(0)) == g.n == len(g.reaching(0)))
+        if not strong:
+            expected = "not-strongly-connected"
+        elif _hamiltonian_by_successor_walk(g, sol.edges):
+            expected = "hamiltonian-cycle"
+        else:
+            expected = "mscs"
+        assert kind == expected, name
+        kinds.add(kind)
+    assert kinds == {"not-strongly-connected", "hamiltonian-cycle", "mscs"}
 
 
 def test_mcps_star_values():
