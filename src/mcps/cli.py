@@ -94,7 +94,10 @@ def _cmd_recognize(args) -> int:
 
 def _load_solution_edges(path: str, graph: DirectedGraph) -> EdgeSet:
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"solution {path}: JSON nested too deeply") from None
     pairs = data.get("edges") if isinstance(data, dict) else data
     # JSON integers only: int() would read 1.9, true and "0" as vertex ids
     if not (isinstance(pairs, list) and all(

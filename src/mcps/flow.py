@@ -13,12 +13,15 @@ them per pair. `check_all_pairs` computes the subgraph's flow first, then
 opens the remaining edges and keeps augmenting: a maximum flow of the
 subgraph is a feasible flow of the host, and augmenting from any feasible
 flow reaches the host's maximum, so that pair costs no second cold start.
+
+A unit-capacity s-t flow never exceeds min(outdeg(s), indeg(t)), so a pair
+with that bound at 1 has flow 1 iff s reaches t: the all-pairs scans read
+such pairs from one BFS (`_bfs`) per source, with no capacity copy or flow.
 """
 
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -125,25 +128,33 @@ def _caps(m: int, indices: Optional[list[int]]) -> list[int]:
     return cap
 
 
+def _bfs(net, cap: list[int], n: int, s: int, t: Optional[int] = None) -> list[int]:
+    """Parent arc of every vertex that s reaches through arcs with capacity
+    left in `cap` (-2 at s, -1 where not reached), stopping as soon as t
+    has one: the parent arc of a vertex is fixed when it is first found."""
+    to, adj = net
+    parent_arc = [-1] * n
+    parent_arc[s] = -2
+    queue = [s]
+    for v in queue:  # visits what the loop appends, in BFS order
+        for a in adj[v]:
+            w = to[a]
+            if cap[a] and parent_arc[w] == -1:
+                parent_arc[w] = a
+                if w == t:
+                    return parent_arc
+                queue.append(w)
+    return parent_arc
+
+
 def _augment(net, cap: list[int], n: int, s: int, t: int,
              limit: Optional[int]) -> int:
     """Push unit BFS augmenting paths from s to t through `cap` (mutated)
     until none is left or `limit` of them were found; returns their number."""
-    to, adj = net
+    to = net[0]
     flow = 0
     while limit is None or flow < limit:
-        parent_arc = [-1] * n
-        parent_arc[s] = -2
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            if v == t:
-                break
-            for a in adj[v]:
-                w = to[a]
-                if cap[a] and parent_arc[w] == -1:
-                    parent_arc[w] = a
-                    queue.append(w)
+        parent_arc = _bfs(net, cap, n, s, t)
         if parent_arc[t] == -1:
             break
         v = t
@@ -214,8 +225,9 @@ def check_all_pairs(graph: DirectedGraph, edge_set, alpha: RetentionRatio) -> Co
     the worst ratio is the exact minimum of subgraph/host capacity over
     pairs with positive host capacity (1 when there are none).
 
-    Each pair first computes the subgraph's flow, then opens the other
-    edges and keeps augmenting from that flow to the host's maximum.
+    A pair bounded by 1 keeps its capacity 1 iff the subgraph's BFS from s
+    reached t. Every other pair first computes the subgraph's flow, then
+    opens the other edges and keeps augmenting to the host's maximum.
     """
     indices = _as_sorted_indices(edge_set, graph.m)
     net = _network(graph)
@@ -227,8 +239,15 @@ def check_all_pairs(graph: DirectedGraph, edge_set, alpha: RetentionRatio) -> Co
     worst = Fraction(1)
     for s in range(n):
         out_s = graph.out_degree(s)
+        reached = _bfs(net, sub, n, s)
         for t in sorted(graph.reachable_from(s)):
             if t == s:
+                continue
+            in_t = graph.in_degree(t)
+            if out_s == 1 or in_t == 1:
+                if reached[t] == -1:  # capacity 1, requirement 1, none kept
+                    worst = Fraction(0)
+                    first = first or Violation(s, t, 1, 0, 1)
                 continue
             # A flow never exceeds min(outdeg(s), indeg(t)) of its graph, so
             # both flows stop at that bound without a last, fruitless BFS.
@@ -236,8 +255,7 @@ def check_all_pairs(graph: DirectedGraph, edge_set, alpha: RetentionRatio) -> Co
             lam_sub = _augment(net, cap, n, s, t, min(sub_out[s], sub_in[t]))
             for a in closed:
                 cap[a] = 1
-            lam = lam_sub + _augment(net, cap, n, s, t,
-                                     min(out_s, graph.in_degree(t)) - lam_sub)
+            lam = lam_sub + _augment(net, cap, n, s, t, min(out_s, in_t) - lam_sub)
             if lam_sub * worst.denominator < worst.numerator * lam:
                 worst = Fraction(lam_sub, lam)
             need = alpha.required(lam)
@@ -248,15 +266,24 @@ def check_all_pairs(graph: DirectedGraph, edge_set, alpha: RetentionRatio) -> Co
 
 def feasible(graph: DirectedGraph, edge_indices: Iterable[int],
              requirements: list[tuple[int, int, int]]) -> bool:
-    """Early-exit feasibility against precomputed (s, t, required) rows."""
+    """Early-exit feasibility against precomputed (s, t, required) rows; a
+    row needing 1 reads the subgraph's BFS from s, one per run of equal s."""
     indices = _as_sorted_indices(edge_indices, graph.m)
     net = _network(graph)
     base = _caps(graph.m, indices)
     out, inc = _degrees(graph, indices)
+    source = reached = None
     for s, t, need in requirements:
         # The subgraph's s-t flow is at most min(outdeg(s), indeg(t)) there,
         # so a row needing more fails without a flow.
-        if min(out[s], inc[t]) < need or _augment(net, base[:], graph.n, s, t, need) < need:
+        if min(out[s], inc[t]) < need:
+            return False
+        if need == 1:
+            if s != source:
+                source, reached = s, _bfs(net, base, graph.n, s)
+            if reached[t] == -1:
+                return False
+        elif _augment(net, base[:], graph.n, s, t, need) < need:
             return False
     return True
 
@@ -270,15 +297,11 @@ def pair_requirements(graph: DirectedGraph, alpha: Optional[RetentionRatio],
     """
     rows = []
     for s in range(graph.n):
-        reach = graph.reachable_from(s)
-        for t in range(graph.n):
-            if t == s or t not in reach:
-                continue
-            if med:
+        for t in sorted(graph.reachable_from(s) - {s}):
+            # t is reachable, so its capacity is at least 1 and so is its
+            # requirement; a pair bounded by 1 has capacity 1 and needs 1
+            if med or graph.out_degree(s) == 1 or graph.in_degree(t) == 1:
                 rows.append((s, t, 1))
-                continue
-            lam = max_flow_value(graph, s, t)
-            need = alpha.required(lam)
-            if need > 0:
-                rows.append((s, t, need))
+            else:
+                rows.append((s, t, alpha.required(max_flow_value(graph, s, t))))
     return rows

@@ -24,7 +24,8 @@ from typing import Optional
 from ._wsearch import find_w_subdivision_graph as find_w_subdivision
 from .errors import BudgetExceededError, NotLspError
 from .graphs import DirectedGraph, EdgeSet
-from .spdecomp import NodeStore, _leaf_edges, _reduce, _terminal_edge_leaves
+from .spdecomp import (NodeStore, _leaf_edges, _reduce, _reduce_graph,
+                       _terminal_edge_leaves)
 
 DEFAULT_PATH_BUDGET = 2_000_000
 
@@ -240,21 +241,15 @@ def _is_dsp_with_terminals(graph: DirectedGraph, edge_indices, s: int, t: int) -
     return len(remaining) == 1 and remaining[0][:2] == (s, t)
 
 
-def _pair_fails(graph: DirectedGraph, s: int, t: int) -> bool:
-    # a lone edge on an s-t path is (s, t), so only two or more are reduced
-    mask = _pair_edges(graph, s, t)
-    return mask & (mask - 1) != 0 and not _is_dsp_with_terminals(
-        graph, _iter_bits(mask), s, t)
-
-
 def _dag_core(graph: DirectedGraph) -> tuple[NodeStore, list, DirectedGraph]:
-    """The one series-parallel reduction of a DAG, cached on the graph: its
-    node store (leaf i is edge i), the routes left (the core) as (tail,
-    head, node id), and the core as a graph on the host's vertices whose
-    edge r is route r. Raises BudgetExceededError if the core is over the cap."""
+    """The one series-parallel reduction of a DAG (`_reduce_graph`, shared
+    with `recognize_dsp`), cached on the graph: its node store (leaf i is
+    edge i), the routes left (the core) as (tail, head, node id), and the
+    core as a graph on the host's vertices whose edge r is route r. Raises
+    BudgetExceededError if the core is over the cap."""
     if "dag_core" in graph._cache:
         return graph._cache["dag_core"]
-    nodes, core = _reduce((i, u, v) for i, (u, v) in enumerate(graph.edges))
+    nodes, core = _reduce_graph(graph)
     if len(core) < graph.m and graph.n * len(core) > _MASK_LIMIT_BITS:
         raise BudgetExceededError(
             f"graph too large for exact path-set computation (the reduced core's "
@@ -288,8 +283,7 @@ def _dag_eas_sets(graph: DirectedGraph) -> tuple[frozenset[int], ...]:
     return tuple(sets)
 
 
-def _first_failing_terminal_pair(graph: DirectedGraph, sources: list[int],
-                                 sinks: list[int]) -> Optional[tuple[int, int]]:
+def _first_failing_terminal_pair(graph: DirectedGraph) -> Optional[tuple[int, int]]:
     """The first source x sink pair (sources, then sinks, in id order) whose
     P(s, t) is not a DSP on (s, t), or None, on a DAG, from its shared
     reduction (`_dag_core`).
@@ -307,9 +301,13 @@ def _first_failing_terminal_pair(graph: DirectedGraph, sources: list[int],
     (see `spdecomp`) reducing them ends as reducing P(s, t) itself would.
     """
     core_graph = _dag_core(graph)[2]
-    for s in sources:
+    sinks = graph.sinks()
+    for s in graph.sources():
         for t in sinks:
-            if _pair_fails(core_graph, s, t):
+            # a lone edge on an s-t path is (s, t), so only two or more are reduced
+            mask = _pair_edges(core_graph, s, t)
+            if mask & (mask - 1) and not _is_dsp_with_terminals(
+                    core_graph, _iter_bits(mask), s, t):
                 return s, t
     return None
 
@@ -333,19 +331,33 @@ def check_p1(graph: DirectedGraph) -> tuple[bool, Optional[tuple[int, int]]]:
     sinks, in id order), which need not be the first failing pair in id
     order. Cyclic graphs go straight to the pair-by-pair scan, at every
     size, reading each P(s, t) from one walk per source.
+
+    The pair-by-pair scan takes each source's P(s, t) largest first, and one
+    inside an already recognized DSP D = P(s, t') passes unreduced, cyclic
+    or not: each edge of P(s, t) is on a simple s-t path inside P(s, t), so
+    inside D; P(s, t) is then D's own P_D(s, t), a DSP like every pair
+    subgraph of a DSP.
     """
     failing = None
     if graph.is_acyclic():
-        sources, sinks = graph.sources(), graph.sinks()
-        failing = _first_failing_terminal_pair(graph, sources, sinks)
+        failing = _first_failing_terminal_pair(graph)
         if failing is None:
             return True, None
         if graph.n > _CANONICAL_RESCAN_LIMIT:
             return False, failing
     for s in range(graph.n):
-        for t in range(graph.n):
-            if s != t and _pair_fails(graph, s, t):
-                return False, (s, t)
+        pairs = sorted(((_pair_edges(graph, s, t), t) for t in range(graph.n) if t != s),
+                       key=lambda pair: -pair[0].bit_count())
+        dsps, bad = [], graph.n
+        for mask, t in pairs:  # past a failing t only smaller targets matter
+            if mask & (mask - 1) == 0 or t > bad or any(mask & d == mask for d in dsps):
+                continue
+            if _is_dsp_with_terminals(graph, _iter_bits(mask), s, t):
+                dsps.append(mask)
+            else:
+                bad = t
+        if bad < graph.n:
+            return False, (s, bad)
     return failing is None, failing
 
 

@@ -340,6 +340,15 @@ def _reduce(triples: Iterable[tuple[int, int, int]]
     return NodeStore(kind, edge, s, t, first, second, sibling), remaining
 
 
+def _reduce_graph(graph: DirectedGraph) -> tuple[NodeStore, list[tuple[int, int, int]]]:
+    """`_reduce` of the graph's whole edge set (leaf i is edge i), run once
+    and cached on the graph for `recognize_dsp` and the LSP checks."""
+    if "reduction" not in graph._cache:
+        graph._cache["reduction"] = _reduce(
+            (i, u, v) for i, (u, v) in enumerate(graph.edges))
+    return graph._cache["reduction"]
+
+
 def recognize_dsp(graph: DirectedGraph) -> DecompositionTree:
     """Decompose a two-terminal series-parallel digraph, or raise NotDspError.
 
@@ -353,8 +362,7 @@ def recognize_dsp(graph: DirectedGraph) -> DecompositionTree:
     snks = graph.sinks()
     if len(srcs) == 1 and len(snks) == 1:
         s, t = srcs[0], snks[0]
-        nodes, remaining = _reduce(
-            (i, u, v) for i, (u, v) in enumerate(graph.edges))
+        nodes, remaining = _reduce_graph(graph)
         if len(remaining) == 1 and remaining[0][:2] == (s, t):
             return DecompositionTree(graph, nodes, remaining[0][2])
     cycle = graph.find_cycle()

@@ -109,6 +109,17 @@ def test_check_malformed_solution_exits_2(capsys, tmp_path, w_file, content):
     assert "Traceback" not in err
 
 
+def test_check_over_nested_solution_exits_2(capsys, tmp_path, w_file):
+    # json.load raises RecursionError here, which is not a ValueError
+    sol = tmp_path / "deep.json"
+    sol.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run(capsys, "check", "--input", w_file, "--solution", str(sol),
+                         "--alpha", "1/2")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: solution {sol}: JSON nested too deeply\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "--mode", "oracle"],
     ["solve"],                                   # auto mode, DSP input

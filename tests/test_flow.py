@@ -2,7 +2,7 @@ from collections import deque
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcps import (CoverageReport, DirectedGraph, EdgeSet, RetentionRatio, Violation,
@@ -239,6 +239,42 @@ def test_check_all_pairs_matches_pair_by_pair_reference(gs, alpha):
     g, subset = gs
     assert check_all_pairs(g, subset, alpha) == _reference_report(g, subset, alpha)
     assert check_all_pairs(g, EdgeSet(subset, g.m), alpha) == _reference_report(g, subset, alpha)
+
+
+_RATIOS = [RetentionRatio(1, 3), RetentionRatio(1, 2), RetentionRatio(2, 3),
+           RetentionRatio(3, 4)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_graph_and_subset(max_n=9, max_m=16), st.sampled_from(_RATIOS))
+@example((DirectedGraph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]), [0, 2, 3]),
+         RetentionRatio(1, 2))
+def test_check_all_pairs_mixes_bound_one_and_flow_pairs_of_one_source(gs, alpha):
+    # Under one source, targets whose capacity is bounded by 1 are read from
+    # the subgraph's BFS and the others take the two-phase flow.
+    g, subset = gs
+    assert check_all_pairs(g, subset, alpha) == _reference_report(g, subset, alpha)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_graph_and_subset(max_n=9, max_m=16), st.data())
+def test_feasible_matches_a_per_row_reference(gs, data):
+    # Rows needing 1 share one BFS per run of equal sources; rows needing 2
+    # or 3 take a flow or fail the degree check. Rows come in any order.
+    g, subset = gs
+    pairs = [(s, t) for s in range(g.n) for t in range(g.n) if s != t]
+    rows = [(s, t, need) for (s, t), need in data.draw(st.lists(
+        st.tuples(st.sampled_from(pairs), st.integers(1, 3)), max_size=12))] if pairs else []
+    for row in rows:
+        s, t, need = row
+        want = _reference_max_flow(g, s, t, edges=subset, limit=need) >= need
+        assert feasible(g, subset, [row]) == want, row
+    assert feasible(g, subset, rows) == all(
+        _reference_max_flow(g, s, t, edges=subset, limit=need) >= need for s, t, need in rows)
+    alpha = data.draw(st.sampled_from(_RATIOS))
+    assert pair_requirements(g, alpha) == [
+        (s, t, alpha.required(lam)) for s, t in pairs
+        if (lam := _reference_max_flow(g, s, t))]
 
 
 @settings(max_examples=40, deadline=None)

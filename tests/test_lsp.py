@@ -9,6 +9,7 @@ from mcps import (BudgetExceededError, DirectedGraph, NotDspError, NotLspError,
                   recognize_dsp, solve_lsp, solve_med, subdivide, to_edge_list)
 from mcps import cli, oracle
 import mcps.lsp as lsp_mod
+import mcps.spdecomp as spdecomp_mod
 from mcps.lsp import _is_dsp_with_terminals, _iter_bits, _source_row
 from mcps.generators import fixtures, gen_random_dsp, gen_random_lsp
 
@@ -174,6 +175,30 @@ def test_check_p1_dag_shortcut_agrees_with_pairwise_scan(g, data):
     assert check_p1(g) == _check_p1_naive(g)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(digraphs(max_n=9, max_m=16), lsp_graphs()))
+@example(DirectedGraph(5, [(0, 1), (1, 2), (2, 0), (1, 3), (3, 4), (4, 1), (2, 3)]))
+def test_check_p1_containment_skip_agrees_with_pairwise_scan(g):
+    # a P(s, t) inside a recognized DSP P(s, t') passes unreduced, cyclic or not
+    assert check_p1(g) == _check_p1_naive(g)
+
+
+@pytest.mark.parametrize("k", range(4, 9))
+def test_check_p1_reduces_a_directed_cycle_once_per_source(k, monkeypatch):
+    # Each P(s, t) of C_k is the path s -> t, inside P(s, s - 1): one
+    # reduction per source instead of one per pair with two or more edges.
+    calls = []
+
+    def counting(triples):
+        calls.append(None)
+        return real_reduce(triples)
+
+    real_reduce = lsp_mod._reduce
+    monkeypatch.setattr(lsp_mod, "_reduce", counting)
+    assert check_p1(DirectedGraph(k, [(v, (v + 1) % k) for v in range(k)])) == (True, None)
+    assert len(calls) <= k
+
+
 def _first_failing_terminal_pair_naive(g):
     for s in g.sources():
         for t in g.sinks():
@@ -209,8 +234,9 @@ def test_p2_and_every_block_dsp_do_not_imply_p1():
 
 def test_check_p1_reduces_a_dag_once_then_only_core_routes(monkeypatch):
     # Across P1 and P2 (and the EAS family, the MEAS blocks and MED they
-    # feed) a DAG is reduced whole once, later reductions take only core
-    # routes, and the only closure masks built are the core's.
+    # feed), and after recognize_dsp, a DAG is reduced whole once, later
+    # reductions take only core routes, and the only closure masks built
+    # are the core's.
     calls, masked = [], []
 
     def counting(triples):
@@ -223,26 +249,35 @@ def test_check_p1_reduces_a_dag_once_then_only_core_routes(monkeypatch):
         masked.append(graph)
         return real_masks(graph)
 
+    def recognize_then_is_lsp(host):
+        try:
+            recognize_dsp(host)
+        except NotDspError:
+            pass
+        return is_lsp(host)
+
     real_reduce, real_masks = lsp_mod._reduce, lsp_mod._closure_edge_masks
     monkeypatch.setattr(lsp_mod, "_reduce", counting)
+    monkeypatch.setattr(spdecomp_mod, "_reduce", counting)
     monkeypatch.setattr(lsp_mod, "_closure_edge_masks", recording)
     checked = 0
-    for seed in range(8):
-        g = gen_random_lsp(seed, blocks=5, block_edges=(3, 10), cyclic_prob=0,
-                           bipartite_prob=0.3)
-        for run in (check_p1, is_lsp):
+    lsps = [gen_random_lsp(seed, blocks=5, block_edges=(3, 10), cyclic_prob=0,
+                           bipartite_prob=0.3) for seed in range(8)]
+    # recognize_dsp reduces only single-source, single-sink graphs
+    for g in lsps + [gen_random_dsp(seed, 60) for seed in range(4)]:
+        for run in (check_p1, is_lsp, recognize_then_is_lsp):
             host = DirectedGraph(g.n, g.edges)
             calls.clear()
             masked.clear()
             if run is check_p1:
                 assert check_p1(host) == (True, None)
             else:
-                assert is_lsp(host) == mcps.LspVerdict(True, None, None)
+                assert run(host) == mcps.LspVerdict(True, None, None)
                 meas_partition(host)
                 solve_med(host)
             (first_in, core), *later = calls
             assert first_in == g.m and sum(size == g.m for size, _ in calls) == 1
-            assert all(size <= core for size, _ in later), (seed, core, later)
+            assert all(size <= core for size, _ in later), (core, later)
             assert masked and all(m is not host and m.m == core for m in masked)
             checked += bool(later)
     assert checked  # some graph needed per-pair reductions on its core
