@@ -61,10 +61,10 @@ def _cmd_solve(args) -> int:
     graph = _read_graph(args.input)
     alpha = RetentionRatio.parse(args.alpha)
     sol = solver.solve(graph, alpha, mode=args.mode, oracle_budget=args.oracle_budget)
-    _emit(sol.to_json_dict(graph))
-    if args.dot:
+    if args.dot:  # before the payload, so that a failed write leaves stdout empty
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(to_dot(graph, highlight=sol.edges))
+    _emit(sol.to_json_dict(graph))
     return EXIT_OK
 
 
@@ -98,6 +98,8 @@ def _load_solution_edges(path: str, graph: DirectedGraph) -> EdgeSet:
             data = json.load(fh)
         except RecursionError:
             raise ValueError(f"solution {path}: JSON nested too deeply") from None
+        except ValueError as err:  # JSON syntax or UTF-8 decoding
+            raise ValueError(f"solution {path}: not valid JSON ({err})") from None
     pairs = data.get("edges") if isinstance(data, dict) else data
     # JSON integers only: int() would read 1.9, true and "0" as vertex ids
     if not (isinstance(pairs, list) and all(
@@ -187,19 +189,19 @@ def _parse_sets(text: str) -> tuple[frozenset[int], ...]:
 
 
 def _write_generated(args, graph: DirectedGraph, metadata: dict) -> None:
+    meta_path = args.meta
+    if meta_path is None and args.out:
+        meta_path = args.out + ".json"
+    if meta_path:  # before the edge list, so that a failed write leaves stdout empty
+        with open(meta_path, "w", encoding="utf-8") as fh:
+            json.dump(metadata, fh, indent=2)
+            fh.write("\n")
     text = to_edge_list(graph)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    meta_path = args.meta
-    if meta_path is None and args.out:
-        meta_path = args.out + ".json"
-    if meta_path:
-        with open(meta_path, "w", encoding="utf-8") as fh:
-            json.dump(metadata, fh, indent=2)
-            fh.write("\n")
 
 
 def _cmd_gen(args) -> int:
@@ -224,7 +226,11 @@ def _cmd_gen(args) -> int:
         graph = generators.gen_random_dsp(args.seed, args.edges)
         _write_generated(args, graph, dict(graph.meta))
     elif args.generator == "lsp":
-        lo, hi = (int(x) for x in args.block_edges.split(","))
+        try:
+            lo, hi = (int(x) for x in args.block_edges.split(","))
+        except ValueError:
+            raise ValueError(f"--block-edges LO,HI: expected two integers, "
+                             f"got {args.block_edges!r}") from None
         graph = generators.gen_random_lsp(
             args.seed, blocks=args.blocks, block_edges=(lo, hi),
             cyclic_prob=args.cyclic_prob, bipartite_prob=args.bipartite_prob,

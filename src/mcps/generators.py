@@ -343,6 +343,8 @@ def gen_random_lsp(seed: int, blocks: int = 4, block_edges: tuple[int, int] = (2
     identified) and naturally oriented complete bipartite blocks."""
     if blocks < 1:
         raise ValueError("need at least one block")
+    if not 1 <= block_edges[0] <= block_edges[1]:
+        raise ValueError(f"block_edges (LO, HI) needs 1 <= LO <= HI, got {tuple(block_edges)}")
     rng = random.Random(seed)
     n = 0
     edges: list[tuple[int, int]] = []

@@ -3,7 +3,7 @@ families and their mu-values, the P1/P2 class checks, the MEAS partition
 into the independent DSP blocks the LSP solver works on, edge subdivision,
 and W-subdivision search.
 
-Every path-induced edge set P(s, t) is read from one table, `_pair_edges`,
+Every path-induced edge set P(s, t) is read from one table, `_pair_row`,
 as an edge bitmask. On DAGs edge (x, y) lies on a simple s-t path iff s
 reaches x and y reaches t, so P(s, t) is `from_mask[s] & to_mask[t]` over
 per-vertex closure masks built in O(m) big-integer operations. The masks
@@ -29,10 +29,6 @@ from .spdecomp import (NodeStore, _leaf_edges, _reduce, _reduce_graph,
 
 DEFAULT_PATH_BUDGET = 2_000_000
 
-# Above this size the canonical pairwise rescan for witness order is skipped
-# and the deterministic fast-path witness is reported instead.
-_CANONICAL_RESCAN_LIMIT = 400
-
 # Cap on n*m bits of cached closure bitmasks; beyond it every DAG path-set
 # query raises BudgetExceededError.
 _MASK_LIMIT_BITS = 200_000_000
@@ -41,7 +37,7 @@ _MASK_LIMIT_BITS = 200_000_000
 @dataclass(frozen=True)
 class LspVerdict:
     is_lsp: bool
-    p1_witness: Optional[tuple[int, int]]  # first (s, t) whose subgraph is not a DSP
+    p1_witness: Optional[tuple[int, int]]  # first failing (s, t): source x sink on DAGs
     p2_witness: Optional[tuple[int, int]]  # first (e1, e2) violating laminarity
 
 
@@ -135,17 +131,23 @@ def _source_row(graph: DirectedGraph, s: int) -> list[int]:
     return row
 
 
-def _pair_edges(graph: DirectedGraph, s: int, t: int) -> int:
-    """P(s, t) as an edge bitmask: the closure masks on DAGs and the
-    source's cached row walk on cyclic graphs."""
+def _pair_row(graph: DirectedGraph, s: int) -> tuple[int, list[int]]:
+    """(reach, row) with P(s, t) = reach & row[t] for every t: from_mask[s]
+    and the to_masks on DAGs, -1 and the source's cached row walk otherwise."""
     masks = _closure_edge_masks(graph)
     if masks is None:
         rows = graph._cache.setdefault("path_rows", {})
         if s not in rows:
             rows[s] = _source_row(graph, s)
-        return rows[s][t]
+        return -1, rows[s]
     from_mask, to_mask = masks
-    return from_mask[s] & to_mask[t]
+    return from_mask[s], to_mask
+
+
+def _pair_edges(graph: DirectedGraph, s: int, t: int) -> int:
+    """P(s, t) as an edge bitmask (`_pair_row`)."""
+    reach, row = _pair_row(graph, s)
+    return reach & row[t]
 
 
 def path_induced(graph: DirectedGraph, u: int, v: int) -> frozenset[int]:
@@ -264,8 +266,8 @@ def _dag_eas_sets(graph: DirectedGraph) -> tuple[frozenset[int], ...]:
     """Each edge's EAS set on a DAG, from the shared reduction (`_dag_core`).
 
     Take e = (u, v). If u and v are both left in the core, P(u, v) is the
-    union of the core routes in the core's own P(u, v), by the argument of
-    `_first_failing_terminal_pair`. Otherwise u or v was contracted, and the
+    union of the core routes in the core's own P(u, v), by the argument in
+    `check_p1`'s docstring. Otherwise u or v was contracted, and the
     route on (u, v) holding e was then its only route out of u or into v;
     every u-v path stays inside that route and every edge of it lies on one,
     so P(u, v) is its edges: the leaves of the P node whose first child is
@@ -283,82 +285,57 @@ def _dag_eas_sets(graph: DirectedGraph) -> tuple[frozenset[int], ...]:
     return tuple(sets)
 
 
-def _first_failing_terminal_pair(graph: DirectedGraph) -> Optional[tuple[int, int]]:
-    """The first source x sink pair (sources, then sinks, in id order) whose
-    P(s, t) is not a DSP on (s, t), or None, on a DAG, from its shared
-    reduction (`_dag_core`).
-
-    The whole DAG is reduced once, and each pair is decided on the routes
-    left (the core). On a DAG an edge is in P(s, t) iff s reaches its tail
-    and its head reaches t, and a route of the workspace stands for edges
-    that all share that status: two parallel routes join the same vertices,
-    and a contracted vertex v (in = out = 1, so neither a source nor a sink)
-    is reached from s iff its only predecessor is and reaches t iff its
-    only successor does. So every step of the shared reduction is a step of
-    P(s, t)'s own reduction or touches none of its edges; the core routes in
-    P(s, t) are the core's own P(s, t), read from the path table of the core
-    as a graph on the host's vertices (`_pair_edges`); and by confluence
-    (see `spdecomp`) reducing them ends as reducing P(s, t) itself would.
-    """
-    core_graph = _dag_core(graph)[2]
-    sinks = graph.sinks()
-    for s in graph.sources():
-        for t in sinks:
-            # a lone edge on an s-t path is (s, t), so only two or more are reduced
-            mask = _pair_edges(core_graph, s, t)
-            if mask & (mask - 1) and not _is_dsp_with_terminals(
-                    core_graph, _iter_bits(mask), s, t):
-                return s, t
-    return None
-
-
 def check_p1(graph: DirectedGraph) -> tuple[bool, Optional[tuple[int, int]]]:
     """Every pair's path-induced subgraph is a DSP with those terminals or
-    empty; witness is the first failing (s, t) in id order.
+    empty; witness is the first failing candidate (s, t) in id order, where
+    on a cyclic graph every pair is a candidate, read from one walk per
+    source. Each P(s, t) is decided by an in-place series-parallel reduction
+    on the host's vertex ids (`spdecomp._reduce`), with no subgraph, cycle
+    search or decomposition tree built for it.
 
-    Each nonempty P(s, t) is decided by an in-place series-parallel
-    reduction on the host's vertex ids (`spdecomp._reduce`), with no
-    subgraph, cycle search or decomposition tree built for it.
-
-    On DAGs only source x sink pairs need recognition: every nonempty
+    On a DAG only source x sink pairs are candidates: every nonempty
     P(s, t) embeds in some P(source, sink) there, and pair subgraphs of a
-    DSP are again DSPs, so those recognitions decide all pairs at once. They
-    share one reduction of the whole DAG (`_dag_core`), and each pair
-    reduces only the routes it leaves. A failing DAG is then rescanned pair
-    by pair on the path table (`_pair_edges`) for the id-order witness, but
-    only up to n = _CANONICAL_RESCAN_LIMIT; above it
-    the witness is the first failing source x sink pair (sources, then
-    sinks, in id order), which need not be the first failing pair in id
-    order. Cyclic graphs go straight to the pair-by-pair scan, at every
-    size, reading each P(s, t) from one walk per source.
+    DSP are again DSPs, so those pairs decide all pairs at once. They are
+    decided on the routes left (the core) by one reduction of the whole DAG
+    (`_dag_core`). An edge is in P(s, t) iff s reaches its tail and its head
+    reaches t, and a route of the workspace stands for edges that all share
+    that status: two parallel routes join the same vertices, and a
+    contracted vertex v (in = out = 1, so neither a source nor a sink) is
+    reached from s iff its only predecessor is and reaches t iff its only
+    successor does. So every step of the shared reduction is a step of
+    P(s, t)'s own reduction or touches none of its edges; the core routes in
+    P(s, t) are the core's own P(s, t), read from the path table of the core
+    as a graph on the host's vertices (`_pair_row`); and by confluence
+    (see `spdecomp`) reducing them ends as reducing P(s, t) itself would.
 
-    The pair-by-pair scan takes each source's P(s, t) largest first, and one
-    inside an already recognized DSP D = P(s, t') passes unreduced, cyclic
-    or not: each edge of P(s, t) is on a simple s-t path inside P(s, t), so
-    inside D; P(s, t) is then D's own P_D(s, t), a DSP like every pair
-    subgraph of a DSP.
+    The scan takes each source's P(s, t) largest first, and one inside an
+    already recognized DSP D = P(s, t') passes unreduced, cyclic or not:
+    each edge of P(s, t) is on a simple s-t path inside P(s, t), so inside
+    D; P(s, t) is then D's own P_D(s, t), a DSP like every pair subgraph of
+    a DSP.
     """
-    failing = None
+    host, sources, targets = graph, range(graph.n), range(graph.n)
     if graph.is_acyclic():
-        failing = _first_failing_terminal_pair(graph)
-        if failing is None:
-            return True, None
-        if graph.n > _CANONICAL_RESCAN_LIMIT:
-            return False, failing
-    for s in range(graph.n):
-        pairs = sorted(((_pair_edges(graph, s, t), t) for t in range(graph.n) if t != s),
-                       key=lambda pair: -pair[0].bit_count())
+        host, sources, targets = _dag_core(graph)[2], graph.sources(), graph.sinks()
+    # P(s, t) is empty unless s has an edge out and t an edge in
+    sources = [s for s in sources if graph.out_degree(s)]
+    targets = [t for t in targets if graph.in_degree(t)]
+    for s in sources:
+        # a lone edge on an s-t path is (s, t), so only two or more are reduced
+        reach, row = _pair_row(host, s)
+        pairs = [(mask, t) for t in targets if (mask := reach & row[t]) & (mask - 1)]
+        pairs.sort(key=lambda pair: -pair[0].bit_count())
         dsps, bad = [], graph.n
         for mask, t in pairs:  # past a failing t only smaller targets matter
-            if mask & (mask - 1) == 0 or t > bad or any(mask & d == mask for d in dsps):
+            if t > bad or any(mask & d == mask for d in dsps):
                 continue
-            if _is_dsp_with_terminals(graph, _iter_bits(mask), s, t):
+            if _is_dsp_with_terminals(host, _iter_bits(mask), s, t):
                 dsps.append(mask)
             else:
                 bad = t
         if bad < graph.n:
             return False, (s, bad)
-    return failing is None, failing
+    return True, None
 
 
 def is_lsp(graph: DirectedGraph) -> LspVerdict:

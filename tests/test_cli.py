@@ -120,6 +120,18 @@ def test_check_over_nested_solution_exits_2(capsys, tmp_path, w_file):
     assert err == f"error: solution {sol}: JSON nested too deeply\n"
 
 
+@pytest.mark.parametrize("content", [b"", b"\xff\xfe[]"])
+def test_check_solution_not_json_names_the_file(capsys, tmp_path, w_file, content):
+    # an empty file, and bytes that are not UTF-8
+    sol = tmp_path / "bad.json"
+    sol.write_bytes(content)
+    code, out, err = run(capsys, "check", "--input", w_file, "--solution", str(sol),
+                         "--alpha", "1/2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: solution {sol}: not valid JSON (") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "--mode", "oracle"],
     ["solve"],                                   # auto mode, DSP input
@@ -269,6 +281,28 @@ def test_gen_lsp(capsys):
                        "--block-edges", "2,5")
     assert code == 0
     parse_edge_list(out)
+
+
+@pytest.mark.parametrize("block_edges", ["0,0", "0,3", "5,2", "2", "a,b", "1,2,3"])
+def test_gen_lsp_bad_block_edges_exits_2(capsys, block_edges):
+    code, out, err = run(capsys, "gen", "lsp", "--seed", "3", f"--block-edges={block_edges}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--alpha", "1/2", "--mode", "oracle", "--dot"],
+    ["gen", "fixture", "W", "--meta"],
+])
+def test_failed_side_file_write_leaves_stdout_empty(capsys, tmp_path, w_file, argv):
+    if argv[0] == "solve":
+        argv = [*argv[:1], "--input", w_file, *argv[1:]]
+    code, out, err = run(capsys, *argv, str(tmp_path / "missing" / "x"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_gen_unknown_fixture(capsys):

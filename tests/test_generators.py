@@ -161,6 +161,12 @@ def test_gen_random_lsp_properties():
     assert gen_random_lsp(5, blocks=3).edges == gen_random_lsp(5, blocks=3).edges
 
 
+@pytest.mark.parametrize("block_edges", [(0, 0), (0, 3), (5, 2)])
+def test_gen_random_lsp_rejects_bad_block_edges(block_edges):
+    with pytest.raises(ValueError, match="block_edges"):
+        gen_random_lsp(3, block_edges=block_edges)
+
+
 def test_gen_random_lsp_single_dsp_block_degenerates():
     g = gen_random_lsp(11, blocks=1, cyclic_prob=0.0, bipartite_prob=0.0)
     recognize_dsp(g)

@@ -163,6 +163,26 @@ def _check_p1_naive(g):
     return True, None
 
 
+def _first_failing_terminal_pair_naive(g):
+    for s in g.sources():
+        for t in g.sinks():
+            if s == t:
+                continue
+            edges = path_induced(g, s, t)
+            if edges and not _is_dsp_with_terminals(g, edges, s, t):
+                return s, t
+    return None
+
+
+def _p1_reference(g):
+    """The all-pairs P1 verdict, with the first failing source x sink pair as
+    the witness on DAGs and the first failing pair on cyclic graphs."""
+    ok, witness = _check_p1_naive(g)
+    if not ok and g.is_acyclic():
+        witness = _first_failing_terminal_pair_naive(g)
+    return ok, witness
+
+
 def _relabeled(g, perm):
     """g with vertex v renamed perm[v], so topological and id order differ."""
     return DirectedGraph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
@@ -172,7 +192,7 @@ def _relabeled(g, perm):
 @given(digraphs(max_n=9, max_m=16, acyclic=True), st.data())
 def test_check_p1_dag_shortcut_agrees_with_pairwise_scan(g, data):
     g = _relabeled(g, data.draw(st.permutations(range(g.n))))
-    assert check_p1(g) == _check_p1_naive(g)
+    assert check_p1(g) == _p1_reference(g)
 
 
 @settings(max_examples=150, deadline=None)
@@ -180,7 +200,42 @@ def test_check_p1_dag_shortcut_agrees_with_pairwise_scan(g, data):
 @example(DirectedGraph(5, [(0, 1), (1, 2), (2, 0), (1, 3), (3, 4), (4, 1), (2, 3)]))
 def test_check_p1_containment_skip_agrees_with_pairwise_scan(g):
     # a P(s, t) inside a recognized DSP P(s, t') passes unreduced, cyclic or not
-    assert check_p1(g) == _check_p1_naive(g)
+    assert check_p1(g) == _p1_reference(g)
+
+
+@pytest.mark.parametrize("n", [5, 401])
+def test_check_p1_witness_does_not_depend_on_isolated_vertices(n, tmp_path, capsys):
+    # The first failing pair in id order is (1, 4), but on a DAG the witness
+    # is the first failing source x sink pair at every size.
+    g = DirectedGraph(n, [(0, 4), (3, 1), (2, 4), (1, 2), (2, 0), (1, 0)])
+    assert _check_p1_naive(g) == (False, (1, 4))
+    assert check_p1(g) == (False, (3, 4))
+    path = tmp_path / "g.el"
+    path.write_text(to_edge_list(g))
+    assert cli.main(["recognize", "--input", str(path)]) == 0
+    assert "p1_witness: 3 4\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("edges", [[(0, 1), (1, 2)], [(0, 1), (1, 2), (2, 0)]])
+def test_check_p1_scans_only_vertices_with_edges(edges, monkeypatch):
+    # P(s, t) is empty unless s has an edge out and t an edge in, so a
+    # header's isolated vertices are never candidate sources or targets.
+    sources, targets = [], []
+
+    class CountingRow(list):
+        def __getitem__(self, t):
+            targets.append(t)
+            return super().__getitem__(t)
+
+    def counting(g, s):
+        sources.append(s)
+        reach, row = real_pair_row(g, s)
+        return reach, CountingRow(row)
+
+    real_pair_row = lsp_mod._pair_row
+    monkeypatch.setattr(lsp_mod, "_pair_row", counting)
+    assert check_p1(DirectedGraph(3000, edges)) == (True, None)
+    assert len(sources) <= 3 and len(targets) <= 9
 
 
 @pytest.mark.parametrize("k", range(4, 9))
@@ -197,29 +252,6 @@ def test_check_p1_reduces_a_directed_cycle_once_per_source(k, monkeypatch):
     monkeypatch.setattr(lsp_mod, "_reduce", counting)
     assert check_p1(DirectedGraph(k, [(v, (v + 1) % k) for v in range(k)])) == (True, None)
     assert len(calls) <= k
-
-
-def _first_failing_terminal_pair_naive(g):
-    for s in g.sources():
-        for t in g.sinks():
-            if s == t:
-                continue
-            edges = path_induced(g, s, t)
-            if edges and not _is_dsp_with_terminals(g, edges, s, t):
-                return s, t
-    return None
-
-
-@settings(max_examples=80, deadline=None)
-@given(digraphs(max_n=9, max_m=16, acyclic=True), st.data())
-def test_check_p1_source_sink_witness_without_rescan(g, data):
-    # With the id-order rescan off, the witness is the first failing
-    # source x sink pair, decided on the shared reduction's core.
-    g = _relabeled(g, data.draw(st.permutations(range(g.n))))
-    witness = _first_failing_terminal_pair_naive(g)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lsp_mod, "_CANONICAL_RESCAN_LIMIT", 0)
-        assert check_p1(DirectedGraph(g.n, g.edges)) == (witness is None, witness)
 
 
 def test_p2_and_every_block_dsp_do_not_imply_p1():
