@@ -98,20 +98,12 @@ def find_w_subdivision_graph(graph: DirectedGraph,
     if graph.m < 5:
         return None
     steps = _Budget(budget)
-    reach: list[set[int]] = []
-    for v in range(graph.n):
-        seen = {v}
-        queue = [v]
-        while queue:
-            w = queue.pop()
-            for _, head in graph.out_edges(w):
-                steps.spend()
-                if head not in seen:
-                    seen.add(head)
-                    queue.append(head)
-        reach.append(seen)
     outd = [graph.out_degree(v) for v in range(graph.n)]
     ind = [graph.in_degree(v) for v in range(graph.n)]
+    reach: list[set[int]] = []
+    for v in range(graph.n):
+        reach.append(graph.reachable_from(v))
+        steps.spend(sum(outd[w] for w in reach[-1]))  # one step per edge the BFS scans
 
     for a in range(graph.n):
         if outd[a] < 2:

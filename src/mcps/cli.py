@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from . import generators, oracle, solver
+from . import oracle, solver
 from .errors import BudgetExceededError, McpsError, NotDspError, NotLspError
 from .flow import RetentionRatio, check_all_pairs, max_flow_value
 from .graphs import DirectedGraph, EdgeSet, parse_edge_list, to_dot, to_edge_list
@@ -205,6 +205,7 @@ def _write_generated(args, graph: DirectedGraph, metadata: dict) -> None:
 
 
 def _cmd_gen(args) -> int:
+    from . import generators  # only `gen` needs it, so other commands skip its import
     if args.generator == "setcover":
         sc = generators.SetCoverInstance(args.universe, _parse_sets(args.sets))
         art = generators.build_reduction(sc, p=args.p)
@@ -231,6 +232,10 @@ def _cmd_gen(args) -> int:
         except ValueError:
             raise ValueError(f"--block-edges LO,HI: expected two integers, "
                              f"got {args.block_edges!r}") from None
+        for flag, prob in (("--cyclic-prob", args.cyclic_prob),
+                           ("--bipartite-prob", args.bipartite_prob)):
+            if not 0 <= prob <= 1:
+                raise ValueError(f"{flag}: expected a probability in [0, 1], got {prob}")
         graph = generators.gen_random_lsp(
             args.seed, blocks=args.blocks, block_edges=(lo, hi),
             cyclic_prob=args.cyclic_prob, bipartite_prob=args.bipartite_prob,

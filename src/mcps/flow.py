@@ -288,19 +288,19 @@ def feasible(graph: DirectedGraph, edge_indices: Iterable[int],
     return True
 
 
-def pair_requirements(graph: DirectedGraph, alpha: Optional[RetentionRatio],
-                      med: bool = False) -> list[tuple[int, int, int]]:
+def pair_requirements(graph: DirectedGraph,
+                      alpha: Optional[RetentionRatio]) -> list[tuple[int, int, int]]:
     """(s, t, required) for every ordered pair with a positive requirement.
 
-    With med=True the requirement is min(capacity, 1), i.e. reachability
-    must be preserved exactly.
+    With alpha=None the requirement is min(capacity, 1), i.e. reachability
+    must be preserved exactly (the MED requirement).
     """
     rows = []
     for s in range(graph.n):
         for t in sorted(graph.reachable_from(s) - {s}):
             # t is reachable, so its capacity is at least 1 and so is its
             # requirement; a pair bounded by 1 has capacity 1 and needs 1
-            if med or graph.out_degree(s) == 1 or graph.in_degree(t) == 1:
+            if alpha is None or graph.out_degree(s) == 1 or graph.in_degree(t) == 1:
                 rows.append((s, t, 1))
             else:
                 rows.append((s, t, alpha.required(max_flow_value(graph, s, t))))

@@ -345,6 +345,9 @@ def gen_random_lsp(seed: int, blocks: int = 4, block_edges: tuple[int, int] = (2
         raise ValueError("need at least one block")
     if not 1 <= block_edges[0] <= block_edges[1]:
         raise ValueError(f"block_edges (LO, HI) needs 1 <= LO <= HI, got {tuple(block_edges)}")
+    if not (cyclic_prob >= 0 and bipartite_prob >= 0 and cyclic_prob + bipartite_prob <= 1):
+        raise ValueError(f"the cyclic and bipartite block probabilities need to be nonnegative "
+                         f"with a sum of at most 1, got {cyclic_prob} and {bipartite_prob}")
     rng = random.Random(seed)
     n = 0
     edges: list[tuple[int, int]] = []

@@ -9,6 +9,7 @@ computation reproducible.
 
 from __future__ import annotations
 
+import heapq
 from operator import index
 from typing import Iterable, Iterator, Optional
 
@@ -125,55 +126,40 @@ class DirectedGraph:
         return self.topological_order() is not None
 
     def topological_order(self) -> Optional[list[int]]:
-        """A topological order (Kahn, smallest id first), or None if cyclic."""
-        if "topo" in self._cache:
-            return self._cache["topo"]
-        indeg = [self.in_degree(v) for v in range(self.n)]
-        import heapq
-        ready = [v for v in range(self.n) if indeg[v] == 0]
-        heapq.heapify(ready)
-        order = []
-        while ready:
-            v = heapq.heappop(ready)
-            order.append(v)
-            for _, head in self._out[v]:
-                indeg[head] -= 1
-                if indeg[head] == 0:
-                    heapq.heappush(ready, head)
-        result = order if len(order) == self.n else None
-        self._cache["topo"] = result
-        return result
+        """A topological order (Kahn, smallest id first), or None if cyclic;
+        then the in-degrees the pass left are cached for `find_cycle`."""
+        if "topo" not in self._cache:
+            indeg = [self.in_degree(v) for v in range(self.n)]
+            ready = [v for v in range(self.n) if indeg[v] == 0]  # ascending, so a heap
+            order = []
+            while ready:
+                v = heapq.heappop(ready)
+                order.append(v)
+                for _, head in self._out[v]:
+                    indeg[head] -= 1
+                    if indeg[head] == 0:
+                        heapq.heappush(ready, head)
+            self._cache["topo"] = order if len(order) == self.n else None
+            if len(order) < self.n:
+                self._cache["kahn_left"] = indeg
+        return self._cache["topo"]
 
     def find_cycle(self) -> Optional[list[int]]:
-        """Some directed cycle as a vertex list, or None. Iterative DFS."""
-        color = [0] * self.n  # 0 unvisited, 1 on stack, 2 done
-        parent: dict[int, int] = {}
-        for root in range(self.n):
-            if color[root]:
-                continue
-            stack: list[tuple[int, int]] = [(root, 0)]
-            color[root] = 1
-            while stack:
-                v, i = stack[-1]
-                if i < len(self._out[v]):
-                    stack[-1] = (v, i + 1)
-                    head = self._out[v][i][1]
-                    if color[head] == 1:
-                        cycle = [head]
-                        w = v
-                        while w != head:
-                            cycle.append(w)
-                            w = parent[w]
-                        cycle.reverse()
-                        return cycle
-                    if color[head] == 0:
-                        color[head] = 1
-                        parent[head] = v
-                        stack.append((head, 0))
-                else:
-                    color[v] = 2
-                    stack.pop()
-        return None
+        """A directed cycle as a vertex list in edge direction, or None. A walk
+        starts at the smallest vertex Kahn's pass left and steps back to the
+        tail of its first in-edge (by edge index) whose tail was also left; the
+        cycle starts at the first vertex the walk repeats."""
+        if self.topological_order() is not None:
+            return None
+        indeg = self._cache["kahn_left"]
+        v = next(v for v in range(self.n) if indeg[v])
+        walk, seen = [], set()
+        while v not in seen:
+            walk.append(v)
+            seen.add(v)
+            v = next(tail for _, tail in self._in[v] if indeg[tail])
+        walk.append(v)
+        return walk[:walk.index(v):-1]
 
     def sources(self) -> list[int]:
         """Vertices with in-degree 0, ascending."""

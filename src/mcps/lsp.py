@@ -38,7 +38,7 @@ _MASK_LIMIT_BITS = 200_000_000
 class LspVerdict:
     is_lsp: bool
     p1_witness: Optional[tuple[int, int]]  # first failing (s, t): source x sink on DAGs
-    p2_witness: Optional[tuple[int, int]]  # first (e1, e2) violating laminarity
+    p2_witness: Optional[tuple[int, int]]  # defining edges of the first crossing EAS sets
 
 
 def _iter_bits(mask: int):
@@ -144,12 +144,6 @@ def _pair_row(graph: DirectedGraph, s: int) -> tuple[int, list[int]]:
     return from_mask[s], to_mask
 
 
-def _pair_edges(graph: DirectedGraph, s: int, t: int) -> int:
-    """P(s, t) as an edge bitmask (`_pair_row`)."""
-    reach, row = _pair_row(graph, s)
-    return reach & row[t]
-
-
 def path_induced(graph: DirectedGraph, u: int, v: int) -> frozenset[int]:
     """Indices of edges lying on at least one simple directed u-v path.
 
@@ -163,7 +157,8 @@ def path_induced(graph: DirectedGraph, u: int, v: int) -> frozenset[int]:
         raise ValueError("path_induced requires distinct endpoints")
     if not (0 <= u < graph.n and 0 <= v < graph.n):
         raise ValueError("vertex out of range")
-    return frozenset(_iter_bits(_pair_edges(graph, u, v)))
+    reach, row = _pair_row(graph, u)
+    return frozenset(_iter_bits(reach & row[v]))
 
 
 @dataclass(frozen=True)
@@ -179,58 +174,48 @@ class EasFamily:
 def eas_family(graph: DirectedGraph) -> EasFamily:
     """Each edge's EAS set P(u, v): on a DAG from its shared reduction
     (`_dag_eas_sets`), on a cyclic graph from row u of the path table."""
-    if "eas_family" in graph._cache:
-        return graph._cache["eas_family"]
-    sets = (_dag_eas_sets(graph) if graph.is_acyclic() else
-            tuple(frozenset(_iter_bits(_pair_edges(graph, u, v))) for u, v in graph.edges))
-    fam = EasFamily(sets)
-    graph._cache["eas_family"] = fam
-    return fam
-
-
-def _laminar(a: frozenset, b: frozenset) -> bool:
-    return a <= b or b <= a or not (a & b)
+    if "eas_family" not in graph._cache:
+        sets = (_dag_eas_sets(graph) if graph.is_acyclic() else
+                tuple(path_induced(graph, u, v) for u, v in graph.edges))
+        graph._cache["eas_family"] = EasFamily(sets)
+    return graph._cache["eas_family"]
 
 
 def check_p2(graph: DirectedGraph) -> tuple[bool, Optional[tuple[int, int]]]:
-    """Laminarity of the edge EAS family; witness is the first violating
-    (edge id, edge id) pair.
+    """Laminarity of the edge EAS family. The witness is the first set S that
+    crosses an earlier one and the first earlier set S crosses, as their
+    defining edges (the first edge whose EAS set each one is), sorted.
 
-    One owner scan over the distinct EAS sets, largest first, decides it: in
-    a laminar family each set nests in the last earlier set that holds its
-    edges, or shares no edge with any earlier set and is then maximal. On a
-    laminar family the maximal sets, each with its defining edge (the first
-    edge whose EAS set it is), are cached on the graph ordered by smallest
-    edge; they are the MEAS blocks `meas_partition` and the LSP solver read.
+    One owner scan over the distinct EAS sets, largest first and then by
+    smallest edge, decides it: in a laminar family each set nests in the
+    last earlier set that holds its edges, or shares no edge with any earlier
+    set and is then maximal. S is the first set whose edges have two or more
+    owners (no owner counts as one). The maximal sets of a laminar family,
+    with their defining edges, are cached ordered by smallest edge: the MEAS
+    blocks `meas_partition` and the LSP solver read.
     """
-    fam = eas_family(graph)
     distinct: dict[frozenset, int] = {}
-    for e, s in enumerate(fam.sets):
-        if s not in distinct:
-            distinct[s] = e
+    for e, s in enumerate(eas_family(graph).sets):
+        distinct.setdefault(s, e)
     ordered = sorted(distinct, key=lambda s: (-len(s), min(s)))
     owner: dict[int, int] = {}
     maximal: list[tuple[int, frozenset[int]]] = []
     for idx, s in enumerate(ordered):
         owners = {owner.get(x) for x in s}
         if len(owners) > 1:
-            break
+            # an earlier set is at least as large, so s crosses it unless disjoint or inside it
+            crossed = next((t for t in ordered[:idx] if not (t.isdisjoint(s) or s <= t)), None)
+            assert crossed is not None, "the owner scan failed on a set that crosses none"
+            return False, tuple(sorted((distinct[crossed], distinct[s])))
         if owners == {None}:
             maximal.append((distinct[s], s))
         for x in s:
             owner[x] = idx
-    else:
-        # Every edge lies in its own EAS set and the maximal sets are disjoint.
-        assert sum(len(s) for _, s in maximal) == graph.m, "maximal EAS sets do not cover E"
-        maximal.sort(key=lambda block: min(block[1]))
-        graph._cache["meas_blocks"] = maximal
-        return True, None
-    # Recover the canonical first violating (edge id, edge id) pair.
-    for j in range(graph.m):
-        for i in range(j):
-            if not _laminar(fam.sets[i], fam.sets[j]):
-                return False, (i, j)
-    raise AssertionError("owner scan reported a violation but none found")
+    # Every edge lies in its own EAS set and the maximal sets are disjoint.
+    assert sum(len(s) for _, s in maximal) == graph.m, "maximal EAS sets do not cover E"
+    maximal.sort(key=lambda block: min(block[1]))
+    graph._cache["meas_blocks"] = maximal
+    return True, None
 
 
 def _is_dsp_with_terminals(graph: DirectedGraph, edge_indices, s: int, t: int) -> bool:
@@ -280,7 +265,7 @@ def _dag_eas_sets(graph: DirectedGraph) -> tuple[frozenset[int], ...]:
     route_leaves = [_leaf_edges(nodes, i) for _, _, i in core]
     for e, (u, v) in enumerate(graph.edges):
         if core_graph.out_degree(u) and core_graph.in_degree(v):
-            routes = _iter_bits(_pair_edges(core_graph, u, v))
+            routes = path_induced(core_graph, u, v)
             sets[e] = frozenset(x for r in routes for x in route_leaves[r])
     return tuple(sets)
 

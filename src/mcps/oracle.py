@@ -55,6 +55,6 @@ def brute_force_mcps(graph: DirectedGraph, alpha: RetentionRatio,
 
 def brute_force_med(graph: DirectedGraph, budget: int = DEFAULT_EDGE_BUDGET) -> EdgeSet:
     """Minimum edge set preserving the reachability relation, by enumeration."""
-    requirements = pair_requirements(graph, None, med=True)
+    requirements = pair_requirements(graph, None)
     chosen = _minimum_feasible(graph, requirements, budget)
     return EdgeSet(chosen, graph.m)

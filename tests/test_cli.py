@@ -292,6 +292,31 @@ def test_gen_lsp_bad_block_edges_exits_2(capsys, block_edges):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag,value", [("--cyclic-prob", "2"), ("--bipartite-prob", "-1"),
+                                        ("--cyclic-prob", "nan")])
+def test_gen_lsp_probability_out_of_range_exits_2(capsys, flag, value):
+    code, out, err = run(capsys, "gen", "lsp", "--seed", "3", flag, value)
+    assert code == 2 and out == ""
+    assert err == f"error: {flag}: expected a probability in [0, 1], got {float(value)}\n"
+
+
+def test_gen_lsp_probabilities_summing_above_1_exit_2(capsys):
+    code, out, err = run(capsys, "gen", "lsp", "--seed", "3",
+                         "--cyclic-prob", "0.6", "--bipartite-prob", "0.5")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_importing_the_cli_does_not_load_the_generators():
+    src = os.path.dirname(os.path.dirname(mcps.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, mcps.cli; print('mcps.generators' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0 and proc.stdout == "False\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "--alpha", "1/2", "--mode", "oracle", "--dot"],
     ["gen", "fixture", "W", "--meta"],
@@ -408,6 +433,17 @@ def test_stats_max_pair_capacity_is_the_unpruned_maximum(g):
         code, out, _ = _run_in(tmp, {"g.el": to_edge_list(g)}, "stats", "--input", "g.el")
     assert code == 0
     assert json.loads(out)["max_pair_capacity"] == unpruned
+
+
+@settings(max_examples=100, deadline=None)
+@given(digraphs(max_n=7, max_m=14))
+def test_recognize_cycle_line_is_find_cycle(g):
+    with tempfile.TemporaryDirectory() as tmp:
+        code, out, _ = _run_in(tmp, {"g.el": to_edge_list(g)}, "recognize", "--input", "g.el")
+    assert code == 0
+    cycle = [line for line in out.splitlines() if line.startswith("cycle: ")]
+    expected = g.find_cycle()
+    assert cycle == ([] if expected is None else ["cycle: " + " ".join(map(str, expected))])
 
 
 _ids = st.integers(-1, 7)

@@ -2,7 +2,7 @@ import pytest
 
 from mcps import (EdgeSet, RetentionRatio, check_all_pairs, is_lsp,
                   max_flow_value, recognize_dsp)
-from mcps import oracle
+from mcps import generators, oracle
 from mcps.generators import (SetCoverInstance,
                              brute_force_set_cover, build_reduction,
                              example_reduction_artifact, example_cover_instance, fixtures,
@@ -165,6 +165,16 @@ def test_gen_random_lsp_properties():
 def test_gen_random_lsp_rejects_bad_block_edges(block_edges):
     with pytest.raises(ValueError, match="block_edges"):
         gen_random_lsp(3, block_edges=block_edges)
+
+
+@pytest.mark.parametrize("probs", [(2, 0.2), (-0.1, 0.2), (0.25, 1.5), (0.25, -1),
+                                   (float("nan"), 0), (0.6, 0.5)])
+def test_gen_random_lsp_rejects_bad_probabilities_before_any_draw(monkeypatch, probs):
+    def no_rng(seed):
+        raise AssertionError("random generator created before the arguments were checked")
+    monkeypatch.setattr(generators.random, "Random", no_rng)
+    with pytest.raises(ValueError, match="prob"):
+        gen_random_lsp(3, cyclic_prob=probs[0], bipartite_prob=probs[1])
 
 
 def test_gen_random_lsp_single_dsp_block_degenerates():

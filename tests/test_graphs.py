@@ -124,6 +124,24 @@ def test_edge_set_rejects_non_integer_indices():
     assert EdgeSet([True], 3) == EdgeSet([1], 3)  # bool is an int subtype
 
 
+def test_find_cycle_walks_back_from_the_smallest_vertex_left():
+    # Kahn's pass orders nothing; the walk from 0 steps back 0 <- 1 <- 3 <- 2 <- 1
+    # and reports the cycle from 1, where it closed, in edge direction
+    g = DirectedGraph(4, [(1, 0), (1, 2), (2, 3), (3, 1)])
+    assert g.find_cycle() == [1, 2, 3]
+    assert DirectedGraph(3, [(0, 1), (1, 2)]).find_cycle() is None
+
+
+@settings(max_examples=300)
+@given(digraphs(max_n=7, max_m=14))
+def test_find_cycle_is_a_simple_cycle_exactly_when_cyclic(g):
+    cycle = g.find_cycle()
+    assert (cycle is None) == g.is_acyclic()
+    if cycle is not None:
+        assert len(cycle) == len(set(cycle)) >= 2
+        assert all(g.has_edge(u, v) for u, v in zip(cycle, cycle[1:] + cycle[:1]))
+
+
 @settings(max_examples=80)
 @given(digraphs())
 def test_parse_serialize_round_trip(g):

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -426,14 +428,19 @@ def test_check_p2():
 
 
 def _check_p2_definition(g):
-    """The first pair (i, j), j ascending, then i, whose EAS sets are
-    neither nested nor disjoint."""
+    """The distinct EAS sets in (-size, smallest edge) order; the first pair
+    (i, j), i < j in that order, with j ascending and then i, whose sets are
+    neither nested nor disjoint, as their defining edges (the first edge whose
+    EAS set each one is), sorted."""
     sets = eas_family(g).sets
-    for j in range(g.m):
-        for i in range(j):
-            a, b = sets[i], sets[j]
+    defining = {}
+    for e, s in enumerate(sets):
+        defining.setdefault(s, e)
+    ordered = sorted(defining, key=lambda s: (-len(s), min(s)))
+    for j, b in enumerate(ordered):
+        for a in ordered[:j]:
             if not (a <= b or b <= a or a.isdisjoint(b)):
-                return False, (i, j)
+                return False, tuple(sorted((defining[a], defining[b])))
     return True, None
 
 
@@ -441,6 +448,20 @@ def _check_p2_definition(g):
 @given(digraphs(max_n=6, max_m=12))
 def test_check_p2_matches_its_definition(g):
     assert check_p2(g) == _check_p2_definition(g)
+
+
+def test_check_p2_witness_without_rescan():
+    # a DSP plus one forward edge across it fails P2 with m = 7,461; the
+    # witness comes from the scan that decides P2, with no pass over edge pairs
+    base = gen_random_dsp(3, 6000)
+    topo = base.topological_order()
+    g = DirectedGraph(base.n, list(base.edges) + [(topo[1], topo[-2])])
+    assert g.m == 7461
+    start = time.perf_counter()
+    ok, witness = check_p2(g)
+    elapsed = time.perf_counter() - start
+    assert not ok and check_p2(g) == _check_p2_definition(g)
+    assert elapsed < 1.0
 
 
 def test_is_lsp_verdicts():
@@ -568,6 +589,16 @@ def test_find_w_subdivision_fixture_values():
     assert found is not None
     found.validate(wp)
     assert find_w_subdivision(fixtures()["diamond"]) is None
+
+
+@pytest.mark.parametrize("name,charge", [("W", 16), ("block_chain", 80), ("bidirected_C6", 3852)])
+def test_find_w_subdivision_budget_threshold(name, charge):
+    # the exact total charge: one step per edge each reachability BFS scans,
+    # plus the path search; one step less raises
+    g = fixtures()[name]
+    assert find_w_subdivision(g, budget=charge) == find_w_subdivision(g)
+    with pytest.raises(BudgetExceededError):
+        find_w_subdivision(g, budget=charge - 1)
 
 
 @settings(max_examples=40, deadline=None)
