@@ -253,10 +253,17 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors as one `error:` line on stderr, exit 2 (subparsers too)."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"error: {message}\n")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # built once per process: parsing reads the parser and never changes it
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mcps",
         description="Minimum capacity-preserving subgraphs of directed unit-capacity graphs")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -1,10 +1,13 @@
 """Exponential-time ground-truth solvers for validating the fast paths.
 
-Everything here is deliberately naive so it can be audited by eye; the only
-optimization is mandatory-edge pruning (an edge that is the unique simple
-path between its endpoints belongs to every feasible solution), decided by
-the package's one max-flow kernel. Budgets are hard errors, never silent
-truncation.
+Everything here is deliberately naive so it can be audited by eye. Besides
+mandatory-edge pruning (an edge that is the unique simple path between its
+endpoints belongs to every feasible solution), a degree filter rejects a
+candidate with too few edges out of a source or into a sink, as a unit s-t
+flow never exceeds min(outdeg(s), indeg(t)), and sizes too small to pass it
+are skipped. The filter is a necessary condition only: the package's one
+max-flow kernel (`feasible`) decides each candidate that passes. Budgets
+are hard errors, never silent truncation, checked before any flow.
 """
 
 from __future__ import annotations
@@ -27,34 +30,57 @@ def _mandatory_edges(graph: DirectedGraph) -> list[int]:
             if max_flow_value(graph, u, v, limit=2) == 1]
 
 
-def _minimum_feasible(graph: DirectedGraph, requirements, budget_edges: int) -> frozenset[int]:
+def _degree_rows(graph: DirectedGraph, requirements) -> tuple[list[tuple[int, int]], int]:
+    """The degree rows of `requirements`, and the fewest edges that pass them.
+
+    A row is (edge mask, need): a vertex's out-edges with its largest need
+    as a source, or its in-edges with its largest need as a sink. Distinct
+    vertices have disjoint out-edge sets, and disjoint in-edge sets, so a
+    set passing every row has at least max(sum of out needs, sum of in
+    needs) edges."""
+    out_need, in_need = [0] * graph.n, [0] * graph.n
+    for s, t, need in requirements:
+        out_need[s] = max(out_need[s], need)
+        in_need[t] = max(in_need[t], need)
+    rows = [(sum(1 << e for e, _ in edges(v)), needs[v]) for edges, needs in
+            ((graph.out_edges, out_need), (graph.in_edges, in_need))
+            for v in range(graph.n) if needs[v]]
+    return rows, max(sum(out_need), sum(in_need))
+
+
+def _minimum_feasible(graph: DirectedGraph, alpha: RetentionRatio | None,
+                      budget_edges: int) -> frozenset[int]:
     """Smallest feasible superset of the mandatory edges, ties broken by the
-    lexicographically smallest sorted index tuple (combinations order)."""
+    lexicographically smallest sorted index tuple (combinations order).
+
+    A candidate edge mask goes to `feasible` only if it passes every degree
+    row (a necessary condition only); sizes below the rows' bound are skipped."""
     if graph.m > budget_edges:
         raise BudgetExceededError(
             f"brute force limited to {budget_edges} edges, graph has {graph.m}")
+    requirements = pair_requirements(graph, alpha)
     mandatory = _mandatory_edges(graph)
-    base = frozenset(mandatory)
-    free = [e for e in range(graph.m) if e not in base]
-    for k in range(len(free) + 1):
-        for combo in combinations(free, k):
-            candidate = base | set(combo)
-            if feasible(graph, candidate, requirements):
-                return frozenset(candidate)
+    base = sum(1 << e for e in mandatory)
+    bits = [1 << e for e in range(graph.m) if not base >> e & 1]
+    rows, fewest = _degree_rows(graph, requirements)
+    for k in range(max(fewest - len(mandatory), 0), len(bits) + 1):
+        for combo in combinations(bits, k):
+            mask = base + sum(combo)
+            if all((mask & row).bit_count() >= need for row, need in rows):
+                candidate = [e for e in range(graph.m) if mask >> e & 1]
+                if feasible(graph, candidate, requirements):
+                    return frozenset(candidate)
     raise AssertionError("full edge set must be feasible")
 
 
 def brute_force_mcps(graph: DirectedGraph, alpha: RetentionRatio,
                      budget: int = DEFAULT_EDGE_BUDGET) -> Solution:
     """A minimum-cardinality feasible edge set, by enumeration."""
-    requirements = pair_requirements(graph, alpha)
-    chosen = _minimum_feasible(graph, requirements, budget)
+    chosen = _minimum_feasible(graph, alpha, budget)
     return Solution(edges=EdgeSet(chosen, graph.m), algorithm="oracle",
                     alpha=alpha, objective=len(chosen), mcps_star=None)
 
 
 def brute_force_med(graph: DirectedGraph, budget: int = DEFAULT_EDGE_BUDGET) -> EdgeSet:
     """Minimum edge set preserving the reachability relation, by enumeration."""
-    requirements = pair_requirements(graph, None)
-    chosen = _minimum_feasible(graph, requirements, budget)
-    return EdgeSet(chosen, graph.m)
+    return EdgeSet(_minimum_feasible(graph, None, budget), graph.m)

@@ -44,8 +44,9 @@ def solve_lsp(graph: DirectedGraph, alpha: RetentionRatio) -> Solution:
     `meas_partition`, read with their defining edges from the P2 scan).
     Every pair's path-induced subgraph lies inside one block, so the blocks
     are independent: the optimum is the union of the DSP optima of the
-    blocks, and the MED size is the sum of theirs. Each block is reduced in
-    place on the host's vertex ids and folded like `solve_dsp`'s tree.
+    blocks, and the MED size is the sum of theirs. A one-edge block is kept
+    and is its own MED; every other block is reduced in place on the host's
+    vertex ids and folded like `solve_dsp`'s tree.
 
     Raises NotLspError (carrying the verdict) on non-LSP input.
     """
@@ -53,6 +54,10 @@ def solve_lsp(graph: DirectedGraph, alpha: RetentionRatio) -> Solution:
     chosen: set[int] = set()
     med_size = 0
     for defining, block in _meas_blocks(graph):
+        if len(block) == 1:
+            chosen.add(defining)
+            med_size += 1
+            continue
         s, t = edges[defining]
         nodes, remaining = _reduce((e, *edges[e]) for e in sorted(block))
         assert len(remaining) == 1 and remaining[0][:2] == (s, t), \

@@ -7,13 +7,18 @@ lookahead that `mcps.lsp` used before the path table walked one row per
 source; the budget tests compare step counts against it.
 `edge_disjoint_paths_count` is an exhaustive search over path systems, the
 flow tests' independent reference for max-flow values.
+`minimum_feasible_reference` is the oracle's enumeration with no filter in
+front of the coverage check, the oracle tests' differential reference.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from itertools import combinations
+from typing import Optional
 
-from mcps import BudgetExceededError, DirectedGraph
+from mcps import (BudgetExceededError, DirectedGraph, EdgeSet, RetentionRatio,
+                  check_all_pairs)
 
 DEFAULT_STEP_BUDGET = 5_000_000
 
@@ -159,3 +164,28 @@ def edge_disjoint_paths_count(graph: DirectedGraph, s: int, t: int,
         return top
 
     return best(frozenset(range(graph.m)))
+
+
+def minimum_feasible_reference(graph: DirectedGraph,
+                               alpha: Optional[RetentionRatio]) -> EdgeSet:
+    """The first feasible superset of the mandatory edges (each the only
+    simple path between its endpoints), by size and then in combinations
+    order over the other edges. Every candidate is checked in full: by
+    `check_all_pairs` at `alpha`, or, with alpha=None (MED), by keeping every
+    vertex's reachable set."""
+    mandatory = [e for e, (u, v) in enumerate(graph.edges)
+                 if enumerate_simple_path_edges(graph, u, v) == {e}]
+    free = [e for e in range(graph.m) if e not in mandatory]
+    reach = [graph.reachable_from(s) for s in range(graph.n)]
+
+    def covers(edges: list[int]) -> bool:
+        if alpha is not None:
+            return check_all_pairs(graph, edges, alpha).feasible
+        sub = graph.spanning_subgraph(sorted(edges))
+        return all(sub.reachable_from(s) == reach[s] for s in range(graph.n))
+
+    for k in range(len(free) + 1):
+        for combo in combinations(free, k):
+            if covers(mandatory + list(combo)):
+                return EdgeSet(mandatory + list(combo), graph.m)
+    raise AssertionError("full edge set must be feasible")

@@ -339,10 +339,21 @@ def test_gen_unknown_fixture(capsys):
 def test_usage_errors_exit_2(capsys, w_file):
     code, _, err = run(capsys, "solve", "--input", w_file, "--alpha", "7/3")
     assert code == 2
-    code, _, _ = run(capsys, "solve", "--input", w_file)
-    assert code == 2
+    code, out, err = run(capsys, "solve", "--input", w_file)
+    assert (code, out) == (2, "")
+    assert err == "error: the following arguments are required: --alpha\n"
     code, _, err = run(capsys, "solve", "--input", "/nonexistent.el", "--alpha", "1/2")
     assert code == 2
+    # argparse's own type errors, in a subparser too, are one line as well
+    code, out, err = run(capsys, "gen", "lsp", "--seed", "1", "--cyclic-prob", "x")
+    assert (code, out) == (2, "")
+    assert err == "error: argument --cyclic-prob: invalid float value: 'x'\n"
+
+
+def test_help_still_prints_usage_and_exits_0(capsys):
+    code, out, err = run(capsys, "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: mcps ") and "{solve,recognize,check,med,stats,gen}" in out
 
 
 def test_parse_error_exits_2(capsys, tmp_path):

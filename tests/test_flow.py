@@ -260,7 +260,7 @@ def test_check_all_pairs_mixes_bound_one_and_flow_pairs_of_one_source(gs, alpha)
 @given(_graph_and_subset(max_n=9, max_m=16), st.data())
 def test_feasible_matches_a_per_row_reference(gs, data):
     # Rows needing 1 share one BFS per run of equal sources; rows needing 2
-    # or 3 take a flow or fail the degree check. Rows come in any order.
+    # or 3 take a flow. Rows come in any order.
     g, subset = gs
     pairs = [(s, t) for s in range(g.n) for t in range(g.n) if s != t]
     rows = [(s, t, need) for (s, t), need in data.draw(st.lists(

@@ -542,14 +542,18 @@ def test_each_meas_block_has_one_defining_edge_and_solve_lsp_reduces_on_it(
     g = gen_random_lsp(seed, blocks=blocks, block_edges=(2, 8),
                        cyclic_prob=cyclic_prob, bipartite_prob=bipartite_prob)
     sets = eas_family(g).sets
+    parts = [block.indices for block in meas_partition(g)]
     defining = []
-    for block in meas_partition(g):
-        owners = [e for e in block if sets[e] == block.indices]
+    for block in parts:
+        owners = [e for e in block if sets[e] == block]
         assert len(owners) == 1, (g.edges, block)
         defining.append(owners[0])
+    reduced = []
     ends = []
 
     def recording(triples):
+        triples = list(triples)
+        reduced.append(frozenset(e for e, _, _ in triples))
         nodes, remaining = real_reduce(triples)
         ends.append(remaining[0][:2])
         return nodes, remaining
@@ -558,7 +562,10 @@ def test_each_meas_block_has_one_defining_edge_and_solve_lsp_reduces_on_it(
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mcps.solver, "_reduce", recording)
         solve_lsp(g, RetentionRatio(1, 2))
-    assert ends == [g.edges[e] for e in defining]
+    # a one-edge block is kept without a reduction; every other block is
+    # reduced, in block order, down to the route of its defining edge
+    assert ends == [g.edges[e] for e, b in zip(defining, parts) if len(b) > 1]
+    assert [b for b in parts if b not in reduced] == [b for b in parts if len(b) == 1]
 
 
 def test_subdivide():

@@ -2,12 +2,14 @@ import random
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mcps import BudgetExceededError, DirectedGraph, RetentionRatio, check_all_pairs
 from mcps import oracle
 from mcps.generators import fixtures
 
-from path_reference import edge_disjoint_paths_count, enumerate_simple_path_edges
+from path_reference import (edge_disjoint_paths_count, enumerate_simple_path_edges,
+                            minimum_feasible_reference)
 from strategies import digraphs
 
 HALF = RetentionRatio(1, 2)
@@ -37,6 +39,70 @@ def test_brute_force_mcps_budget():
     g = fixtures()["reduction_example"]
     with pytest.raises(BudgetExceededError):
         oracle.brute_force_mcps(g, HALF, budget=16)
+
+
+def test_budget_is_checked_before_the_requirements(monkeypatch):
+    g = fixtures()["reduction_example"]
+
+    def unreachable(*args):
+        raise AssertionError("pair requirements built for an over-budget graph")
+
+    monkeypatch.setattr(oracle, "pair_requirements", unreachable)
+    message = f"brute force limited to 16 edges, graph has {g.m}"
+    with pytest.raises(BudgetExceededError, match=message):
+        oracle.brute_force_mcps(g, HALF, budget=16)
+    with pytest.raises(BudgetExceededError, match=message):
+        oracle.brute_force_med(g, budget=16)
+
+
+def test_degree_filter_leaves_one_flow_check_on_w_plus(monkeypatch):
+    # the w_plus optimum needs two edges beyond its mandatory MED, one out of
+    # u and one into v, and the degree rows reject every 2-edge extension
+    # before it that misses either; without them `feasible` ran 7 times
+    calls = []
+    real = oracle.feasible
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(oracle, "feasible", counting)
+    assert oracle.brute_force_mcps(fixtures()["w_plus"], HALF).objective == 7
+    assert len(calls) == 1
+
+
+RATIOS = [RetentionRatio(1, 3), HALF, RetentionRatio(2, 3), RetentionRatio(3, 4)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(digraphs(max_n=6, max_m=10))
+@example(fixtures()["w_plus"])
+@example(fixtures()["bidirected_K4"])
+def test_oracle_matches_unfiltered_enumeration(g):
+    for alpha in RATIOS:
+        assert oracle.brute_force_mcps(g, alpha).edges == \
+            minimum_feasible_reference(g, alpha), (g.edges, str(alpha))
+    assert oracle.brute_force_med(g) == minimum_feasible_reference(g, None), g.edges
+
+
+@settings(max_examples=100, deadline=None)
+@given(digraphs(max_n=6, max_m=10), st.sampled_from(RATIOS + [None]), st.data())
+def test_degree_rows_are_necessary(g, alpha, data):
+    # the rows may reject infeasible sets, never a feasible one, and no
+    # feasible set is smaller than their bound
+    requirements = oracle.pair_requirements(g, alpha)
+    rows, fewest = oracle._degree_rows(g, requirements)
+    dropped = data.draw(st.sets(st.integers(0, max(g.m - 1, 0)), max_size=3))
+    kept = [e for e in range(g.m) if e not in dropped]
+    if alpha is None:
+        covered = oracle.feasible(g, kept, requirements)
+    else:
+        covered = check_all_pairs(g, kept, alpha).feasible
+    if not covered:
+        return
+    mask = sum(1 << e for e in kept)
+    assert all((mask & row).bit_count() >= need for row, need in rows)
+    assert len(kept) >= fewest
 
 
 def test_brute_force_med_examples():
