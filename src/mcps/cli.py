@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from typing import Optional
 
@@ -75,8 +76,6 @@ def _cmd_recognize(args) -> int:
         tree = recognize_dsp(graph)
     except NotDspError as err:
         dsp_witness = err.witness
-    except ValueError:
-        pass  # edgeless input: vacuously not a two-terminal DSP, still an LSP
     verdict = is_lsp(graph)
     lines = [f"dsp: {'no' if tree is None else 'yes'}",
              f"lsp: {'yes' if verdict.is_lsp else 'no'}"]
@@ -118,30 +117,20 @@ def _cmd_check(args) -> int:
     alpha = RetentionRatio.parse(args.alpha)
     edge_set = _load_solution_edges(args.solution, graph)
     report = check_all_pairs(graph, edge_set, alpha)
+    violation = report.first_violation
     payload = {
         "feasible": report.feasible,
-        "first_violation": None,
+        "first_violation": None if violation is None else asdict(violation),
         "worst_ratio": f"{report.worst_ratio.numerator}/{report.worst_ratio.denominator}",
         "alpha": str(alpha),
     }
-    if report.first_violation is not None:
-        v = report.first_violation
-        payload["first_violation"] = {
-            "s": v.s, "t": v.t, "capacity": v.capacity,
-            "subgraph_capacity": v.subgraph_capacity, "required": v.required,
-        }
-    optimal: Optional[bool] = None
+    ok = report.feasible
     if args.against_oracle:
         optimum = oracle.brute_force_mcps(graph, alpha, args.oracle_budget).objective
-        optimal = report.feasible and len(edge_set) == optimum
-        payload["optimum"] = optimum
-        payload["optimal"] = optimal
+        ok = ok and len(edge_set) == optimum
+        payload.update(optimum=optimum, optimal=ok)
     _emit(payload)
-    if not report.feasible:
-        return EXIT_INFEASIBLE
-    if args.against_oracle and not optimal:
-        return EXIT_INFEASIBLE
-    return EXIT_OK
+    return EXIT_OK if ok else EXIT_INFEASIBLE
 
 
 def _cmd_med(args) -> int:

@@ -24,7 +24,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Optional
 
 from .graphs import DirectedGraph, _as_sorted_indices
@@ -32,21 +31,20 @@ from .graphs import DirectedGraph, _as_sorted_indices
 _RATIO_RE = re.compile(r"^(\d+)/(\d+)$")
 
 
-class RetentionRatio:
-    """An exact rational retention ratio p/q with 0 < p < q, lowest terms."""
+class RetentionRatio(Fraction):
+    """An exact retention ratio: a `Fraction` strictly between 0 and 1."""
 
-    __slots__ = ("p", "q")
+    __slots__ = ()
 
-    def __init__(self, p: int, q: int):
+    def __new__(cls, p: int, q: int):
         p, q = int(p), int(q)
         if q <= 0 or p <= 0:
             raise ValueError("retention ratio must have positive numerator and denominator")
-        g = gcd(p, q)
-        p, q = p // g, q // g
-        if not p < q:
-            raise ValueError(f"retention ratio must lie strictly inside (0,1), got {p}/{q}")
-        self.p = p
-        self.q = q
+        self = super().__new__(cls, p, q)
+        if not self < 1:
+            raise ValueError(f"retention ratio must lie strictly inside (0,1), "
+                             f"got {self.numerator}/{self.denominator}")
+        return self
 
     @classmethod
     def parse(cls, text: str) -> "RetentionRatio":
@@ -55,30 +53,9 @@ class RetentionRatio:
             raise ValueError(f"retention ratio must look like 'p/q', got {text!r}")
         return cls(int(m.group(1)), int(m.group(2)))
 
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.p, self.q)
-
     def required(self, capacity: int) -> int:
-        """ceil(p*capacity/q), exactly."""
-        return -((-self.p * capacity) // self.q)
-
-    def __eq__(self, other):
-        return isinstance(other, RetentionRatio) and (self.p, self.q) == (other.p, other.q)
-
-    def __lt__(self, other):
-        return self.p * other.q < other.p * self.q
-
-    def __le__(self, other):
-        return self.p * other.q <= other.p * self.q
-
-    def __hash__(self):
-        return hash((self.p, self.q))
-
-    def __str__(self):
-        return f"{self.p}/{self.q}"
-
-    def __repr__(self):
-        return f"RetentionRatio({self.p}, {self.q})"
+        """ceil(alpha * capacity), exactly."""
+        return -((-self.numerator * capacity) // self.denominator)
 
 
 @dataclass(frozen=True)
@@ -92,9 +69,12 @@ class Violation:
 
 @dataclass(frozen=True)
 class CoverageReport:
-    feasible: bool
     first_violation: Optional[Violation]
     worst_ratio: Fraction
+
+    @property
+    def feasible(self) -> bool:
+        return self.first_violation is None
 
 
 def _network(graph: DirectedGraph) -> tuple[list[int], list[list[int]]]:
@@ -261,7 +241,7 @@ def check_all_pairs(graph: DirectedGraph, edge_set, alpha: RetentionRatio) -> Co
             need = alpha.required(lam)
             if lam_sub < need and first is None:
                 first = Violation(s, t, lam, lam_sub, need)
-    return CoverageReport(feasible=first is None, first_violation=first, worst_ratio=worst)
+    return CoverageReport(first_violation=first, worst_ratio=worst)
 
 
 def feasible(graph: DirectedGraph, edge_indices: Iterable[int],
@@ -294,9 +274,11 @@ def pair_requirements(graph: DirectedGraph,
     for s in range(graph.n):
         for t in sorted(graph.reachable_from(s) - {s}):
             # t is reachable, so its capacity is at least 1 and so is its
-            # requirement; a pair bounded by 1 has capacity 1 and needs 1
-            if alpha is None or graph.out_degree(s) == 1 or graph.in_degree(t) == 1:
-                rows.append((s, t, 1))
-            else:
-                rows.append((s, t, alpha.required(max_flow_value(graph, s, t))))
+            # requirement. The capacity never exceeds min(outdeg(s), indeg(t)),
+            # so when that bound needs 1, so does the pair, with no flow.
+            need = 1 if alpha is None else alpha.required(
+                min(graph.out_degree(s), graph.in_degree(t)))
+            if need > 1:
+                need = alpha.required(max_flow_value(graph, s, t))
+            rows.append((s, t, need))
     return rows

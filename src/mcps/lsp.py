@@ -24,7 +24,7 @@ from typing import Optional
 from ._wsearch import find_w_subdivision_graph as find_w_subdivision
 from .errors import BudgetExceededError, NotLspError
 from .graphs import DirectedGraph, EdgeSet
-from .spdecomp import (NodeStore, _leaf_edges, _reduce, _reduce_graph,
+from .spdecomp import (NodeStore, _dsp_root, _leaf_edges, _reduce, _reduce_graph,
                        _terminal_edge_leaves)
 
 DEFAULT_PATH_BUDGET = 2_000_000
@@ -36,9 +36,12 @@ _MASK_LIMIT_BITS = 200_000_000
 
 @dataclass(frozen=True)
 class LspVerdict:
-    is_lsp: bool
     p1_witness: Optional[tuple[int, int]]  # first failing (s, t): source x sink on DAGs
     p2_witness: Optional[tuple[int, int]]  # defining edges of the first crossing EAS sets
+
+    @property
+    def is_lsp(self) -> bool:
+        return self.p1_witness is None and self.p2_witness is None
 
 
 def _iter_bits(mask: int):
@@ -220,12 +223,9 @@ def check_p2(graph: DirectedGraph) -> tuple[bool, Optional[tuple[int, int]]]:
 
 def _is_dsp_with_terminals(graph: DirectedGraph, edge_indices, s: int, t: int) -> bool:
     # Every edge given lies on an s-t path, so s is the only source and t
-    # the only sink, cyclic or not; the reduction alone then decides whether
-    # the edges form a DSP on (s, t) (a cyclic graph never reduces to one
-    # route).
+    # the only sink, cyclic or not, as `_dsp_root` asks.
     edges = graph.edges
-    _, remaining = _reduce((i, *edges[i]) for i in edge_indices)
-    return len(remaining) == 1 and remaining[0][:2] == (s, t)
+    return _dsp_root(_reduce((i, *edges[i]) for i in edge_indices)[1], s, t) is not None
 
 
 def _dag_core(graph: DirectedGraph) -> tuple[NodeStore, list, DirectedGraph]:
@@ -325,13 +325,10 @@ def check_p1(graph: DirectedGraph) -> tuple[bool, Optional[tuple[int, int]]]:
 
 def is_lsp(graph: DirectedGraph) -> LspVerdict:
     """Conjunction of the P1 and P2 checks, with both witnesses."""
-    if "lsp_verdict" in graph._cache:
-        return graph._cache["lsp_verdict"]
-    p1_ok, p1_wit = check_p1(graph)
-    p2_ok, p2_wit = check_p2(graph)
-    verdict = LspVerdict(is_lsp=p1_ok and p2_ok, p1_witness=p1_wit, p2_witness=p2_wit)
-    graph._cache["lsp_verdict"] = verdict
-    return verdict
+    if "lsp_verdict" not in graph._cache:
+        graph._cache["lsp_verdict"] = LspVerdict(p1_witness=check_p1(graph)[1],
+                                                 p2_witness=check_p2(graph)[1])
+    return graph._cache["lsp_verdict"]
 
 
 def _meas_blocks(graph: DirectedGraph) -> list[tuple[int, frozenset[int]]]:

@@ -25,9 +25,12 @@ DEFAULT_EDGE_BUDGET = 16
 def _mandatory_edges(graph: DirectedGraph) -> list[int]:
     """Edges e = (u, v) that are the only simple u-v path. In a simple graph
     any other simple u-v path avoids e, so e is the only one exactly when
-    the u-v max-flow is 1."""
-    return [e for e, (u, v) in enumerate(graph.edges)
-            if max_flow_value(graph, u, v, limit=2) == 1]
+    the u-v max-flow is 1. Cached on the graph: the MCPS and MED
+    enumerations of one solve both start from them."""
+    if "mandatory_edges" not in graph._cache:
+        graph._cache["mandatory_edges"] = [e for e, (u, v) in enumerate(graph.edges)
+                                           if max_flow_value(graph, u, v, limit=2) == 1]
+    return graph._cache["mandatory_edges"]
 
 
 def _degree_rows(graph: DirectedGraph, requirements) -> tuple[list[tuple[int, int]], int]:
@@ -78,7 +81,7 @@ def brute_force_mcps(graph: DirectedGraph, alpha: RetentionRatio,
     """A minimum-cardinality feasible edge set, by enumeration."""
     chosen = _minimum_feasible(graph, alpha, budget)
     return Solution(edges=EdgeSet(chosen, graph.m), algorithm="oracle",
-                    alpha=alpha, objective=len(chosen), mcps_star=None)
+                    alpha=alpha, mcps_star=None)
 
 
 def brute_force_med(graph: DirectedGraph, budget: int = DEFAULT_EDGE_BUDGET) -> EdgeSet:

@@ -15,15 +15,18 @@ class Solution:
 
     `alpha` is None for minimum-equivalent-digraph mode, where the
     requirement is reachability preservation rather than a ratio.
-    `mcps_star` is objective minus the minimum-equivalent-digraph size when
-    that size is known, else None.
+    `objective` is the number of edges. `mcps_star` is the objective minus
+    the minimum-equivalent-digraph size when that size is known, else None.
     """
 
     edges: EdgeSet
     algorithm: str  # "dsp" | "lsp" | "oracle" | "med"
     alpha: Optional[RetentionRatio]
-    objective: int
     mcps_star: Optional[int]
+
+    @property
+    def objective(self) -> int:
+        return len(self.edges)
 
     def to_json_dict(self, graph: DirectedGraph) -> dict:
         return {

@@ -6,6 +6,7 @@ dispatching entry point that re-validates every answer.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 from . import oracle
@@ -14,7 +15,7 @@ from .flow import RetentionRatio, check_all_pairs
 from .graphs import DirectedGraph, EdgeSet
 from .lsp import _meas_blocks, eas_family, is_lsp
 from .solution import Solution
-from .spdecomp import _fold, _reduce, recognize_dsp
+from .spdecomp import _dsp_root, _fold, _reduce, recognize_dsp
 
 
 def solve_dsp(graph: DirectedGraph, alpha: RetentionRatio) -> Solution:
@@ -32,7 +33,7 @@ def solve_dsp(graph: DirectedGraph, alpha: RetentionRatio) -> Solution:
     tree = recognize_dsp(graph)
     _, kept, med_size = _fold(tree.nodes, tree.root, alpha)
     return Solution(edges=EdgeSet(kept, graph.m), algorithm="dsp", alpha=alpha,
-                    objective=len(kept), mcps_star=len(kept) - med_size)
+                    mcps_star=len(kept) - med_size)
 
 
 def solve_lsp(graph: DirectedGraph, alpha: RetentionRatio) -> Solution:
@@ -58,15 +59,14 @@ def solve_lsp(graph: DirectedGraph, alpha: RetentionRatio) -> Solution:
             chosen.add(defining)
             med_size += 1
             continue
-        s, t = edges[defining]
         nodes, remaining = _reduce((e, *edges[e]) for e in sorted(block))
-        assert len(remaining) == 1 and remaining[0][:2] == (s, t), \
-            f"LSP block of edge {defining} is not a DSP on its endpoints"
-        _, kept, block_med = _fold(nodes, remaining[0][2], alpha)
+        root = _dsp_root(remaining, *edges[defining])
+        assert root is not None, f"LSP block of edge {defining} is not a DSP on its endpoints"
+        _, kept, block_med = _fold(nodes, root, alpha)
         chosen |= kept
         med_size += block_med
     return Solution(edges=EdgeSet(chosen, graph.m), algorithm="lsp", alpha=alpha,
-                    objective=len(chosen), mcps_star=len(chosen) - med_size)
+                    mcps_star=len(chosen) - med_size)
 
 
 def solve_med(graph: DirectedGraph) -> Solution:
@@ -85,7 +85,7 @@ def solve_med(graph: DirectedGraph) -> Solution:
         raise NotLspError(verdict)
     chosen = [e for e, s in enumerate(eas_family(graph).sets) if len(s) == 1]
     return Solution(edges=EdgeSet(chosen, graph.m), algorithm="med", alpha=None,
-                    objective=len(chosen), mcps_star=0)
+                    mcps_star=0)
 
 
 def _is_strongly_connected(graph: DirectedGraph) -> bool:
@@ -137,9 +137,7 @@ def solve(graph: DirectedGraph, alpha: RetentionRatio, mode: str = "auto",
 
     def _oracle_solution() -> Solution:
         brute = oracle.brute_force_mcps(graph, alpha, oracle_budget)
-        star = mcps_star_value(graph, brute, oracle_budget)
-        return Solution(edges=brute.edges, algorithm="oracle", alpha=alpha,
-                        objective=brute.objective, mcps_star=star)
+        return replace(brute, mcps_star=mcps_star_value(graph, brute, oracle_budget))
 
     if mode == "dsp":
         sol = solve_dsp(graph, alpha)
@@ -147,8 +145,6 @@ def solve(graph: DirectedGraph, alpha: RetentionRatio, mode: str = "auto",
         sol = solve_lsp(graph, alpha)
     elif mode == "oracle":
         sol = _oracle_solution()
-    elif graph.m == 0:
-        sol = solve_lsp(graph, alpha)
     else:
         try:
             sol = solve_dsp(graph, alpha)

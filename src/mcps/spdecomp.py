@@ -85,7 +85,7 @@ class NotDspWitness:
     forbidden graph W when extraction stayed within budget (best effort).
     """
 
-    reason: str  # "cyclic" | "multiple-sources" | "multiple-sinks" | "w-subdivision"
+    reason: str  # "no-edges" | "cyclic" | "multiple-sources" | "multiple-sinks" | "w-subdivision"
     cycle: Optional[tuple[int, ...]] = None
     sources: Optional[tuple[int, ...]] = None
     sinks: Optional[tuple[int, ...]] = None
@@ -349,22 +349,31 @@ def _reduce_graph(graph: DirectedGraph) -> tuple[NodeStore, list[tuple[int, int,
     return graph._cache["reduction"]
 
 
+def _dsp_root(remaining: list[tuple[int, int, int]], s: int, t: int) -> Optional[int]:
+    """The root of a reduction of edges with s their only source and t their
+    only sink if they form a DSP on (s, t), which is when one route is left
+    and it joins s to t (a cycle never reduces to one route), else None."""
+    if len(remaining) == 1 and remaining[0][:2] == (s, t):
+        return remaining[0][2]
+    return None
+
+
 def recognize_dsp(graph: DirectedGraph) -> DecompositionTree:
     """Decompose a two-terminal series-parallel digraph, or raise NotDspError.
 
     The tree is deterministic (see `_reduce`). A rejection reports the
-    first reason that applies, in the order: a cycle (`find_cycle`'s),
-    several sources, several sinks, then a W-subdivision.
+    first reason that applies, in the order: no edges, a cycle
+    (`find_cycle`'s), several sources, several sinks, then a W-subdivision.
     """
     if graph.m == 0:
-        raise ValueError("series-parallel recognition needs at least one edge")
+        raise NotDspError(NotDspWitness("no-edges"))
     srcs = graph.sources()
     snks = graph.sinks()
     if len(srcs) == 1 and len(snks) == 1:
-        s, t = srcs[0], snks[0]
         nodes, remaining = _reduce_graph(graph)
-        if len(remaining) == 1 and remaining[0][:2] == (s, t):
-            return DecompositionTree(graph, nodes, remaining[0][2])
+        root = _dsp_root(remaining, srcs[0], snks[0])
+        if root is not None:
+            return DecompositionTree(graph, nodes, root)
     cycle = graph.find_cycle()
     if cycle is not None:
         raise NotDspError(NotDspWitness("cyclic", cycle=tuple(cycle)))

@@ -414,12 +414,83 @@ def test_solve_precondition_exit_3(capsys, w_file):
     assert "w-subdivision" in err
 
 
+def test_edgeless_input(capsys, tmp_path):
+    # not a DSP (reason no-edges), but an LSP whose answer is empty
+    path = tmp_path / "e.el"
+    path.write_text("3 0\n")
+    code, out, err = run(capsys, "solve", "--input", str(path), "--alpha", "1/2",
+                         "--mode", "dsp")
+    assert (code, out) == (3, "")
+    assert err == ("precondition violation: not a two-terminal series-parallel digraph: "
+                   "no-edges\ndsp_reason: no-edges\n")
+    assert run(capsys, "recognize", "--input", str(path)) == (
+        0, "dsp: no\nlsp: yes\ndsp_reason: no-edges\n", "")
+    code, out, _ = run(capsys, "solve", "--input", str(path), "--alpha", "1/2")
+    assert code == 0 and json.loads(out)["algorithm"] == "lsp"
+
+
 def test_outputs_are_byte_deterministic(capsys, wplus_file):
     runs = [run(capsys, "solve", "--input", wplus_file, "--alpha", "1/2",
                 "--mode", "oracle") for _ in range(2)]
     assert runs[0] == runs[1]
     runs = [run(capsys, "recognize", "--input", wplus_file) for _ in range(2)]
     assert runs[0] == runs[1]
+
+
+# sha256 of the stdout of solve, check (of solve's answer), recognize and med
+# on each fixture at 1/3, 1/2 and 2/3, joined in that order; recorded before
+# the retention ratio became a Fraction and the result fields became derived.
+FIXTURE_STDOUT_SHA256 = {
+    "C3":
+        "85524ad1fbd14a889899abb484d17ebfe008f7e77cfbc4cf23f37dabf6f5d8d7",
+    "C4":
+        "dd9b05e914f51e858e66fbb677013ab1cc63d782f45125ca9f8f97d278a2e010",
+    "C5":
+        "469925f4dd30d0c5b0f9815bc5717458f95f1135cc000847391adacd71530d00",
+    "C6":
+        "6829ca1829bc2b5cd9d5ccf629317bcc3b6608441b7c9a32f3085736c06b095c",
+    "K33":
+        "298001185cd100838917961a409465e0e5e5346969fe6ab9c61975066e022cd7",
+    "W":
+        "e7a1eb0a9d8b8a11350a9039740838203c6116a0ba1306a57e4bf8ac9c70a90d",
+    "bidirected_C4":
+        "c1256c69d8c8d1f39a0446eeaf1c8d0e4ad649b771289184e7d0491a754b33d6",
+    "bidirected_C6":
+        "be8cd0ce02abb5f860e193b6339450bc0ae36fcf38133733ef02b56bc2fe1945",
+    "bidirected_K4":
+        "27d0a77272d909509bb92f2261f5c6f67b0a4ef9d1aae4c7dc3eb6b40d93fd7c",
+    "block_chain":
+        "56d3ef40403113f94be28636c1afa762554972586eb7ec345578a792018fea04",
+    "cyclic_diamond":
+        "5ce5cba91c147610554c15ccd19817e7ac012b062a0f6e28f8cfbbb05e1bacb1",
+    "diamond":
+        "a52594ee23b7ab242ce10a916aff70cac6946082e62ba37ba513b3eb2d1cc0e2",
+    "diamond_ring":
+        "4b3b707253dbbb4cf43334dfc9f62b58d8122a4aef021b74f37281a666ff6b5b",
+    "reduction_example":
+        "4b20afff3d053cb9319325736dc49baae2740104e4eb1e933a5e19fcff513321",
+    "triangle_chord":
+        "33cfb373e19564e19bddb432c7555d13307d87c30d01a646e00b7adf0c342a67",
+    "w_plus":
+        "0f31cfe45d4776bde066e3406d98a0452d645014561164f1c5a3c01a2fececf0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(fixtures()))
+def test_fixture_stdout_is_pinned(capsys, tmp_path, name):
+    import hashlib
+    graph_path, sol_path = tmp_path / "g.el", tmp_path / "sol.json"
+    graph_path.write_text(to_edge_list(fixtures()[name]))
+    outs = []
+    for alpha in ("1/3", "1/2", "2/3"):
+        _, out, _ = run(capsys, "solve", "--input", str(graph_path), "--alpha", alpha)
+        sol_path.write_text(out)
+        outs.append(out)
+        outs.append(run(capsys, "check", "--input", str(graph_path),
+                        "--solution", str(sol_path), "--alpha", alpha)[1])
+        outs.append(run(capsys, "recognize", "--input", str(graph_path))[1])
+        outs.append(run(capsys, "med", "--input", str(graph_path))[1])
+    assert hashlib.sha256("".join(outs).encode()).hexdigest() == FIXTURE_STDOUT_SHA256[name]
 
 
 # --- property tests through cli.main --------------------------------------

@@ -1,3 +1,6 @@
+import copy
+import math
+import pickle
 from collections import deque
 from fractions import Fraction
 
@@ -35,6 +38,50 @@ def test_required_capacity_examples():
     assert RetentionRatio(1, 2).required(7) == 4
     assert RetentionRatio(1, 2).required(0) == 0
     assert RetentionRatio(2, 3).required(3) == 2
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 60), st.integers(2, 60), st.integers(1, 60), st.integers(1, 60),
+       st.integers(0, 200))
+def test_ratio_is_the_fraction_it_names(p, q, p2, q2, capacity):
+    p = p % (q - 1) + 1  # 0 < p < q
+    p2 = p2 % q2
+    alpha, frac = RetentionRatio(p, q), Fraction(p, q)
+    assert isinstance(alpha, Fraction)
+    assert alpha == frac and hash(alpha) == hash(frac) and str(alpha) == str(frac)
+    if p2:
+        other, other_frac = RetentionRatio(p2, q2), Fraction(p2, q2)
+        assert (alpha < other, alpha <= other, alpha == other) == \
+            (frac < other_frac, frac <= other_frac, frac == other_frac)
+        assert (alpha == other) == (hash(alpha) == hash(other) and str(alpha) == str(other))
+    assert alpha.required(capacity) == math.ceil(frac * capacity)
+
+
+def test_ratio_survives_pickle_and_copy():
+    alpha = RetentionRatio(6, 9)
+    for twin in (pickle.loads(pickle.dumps(alpha)), copy.copy(alpha), copy.deepcopy(alpha)):
+        assert type(twin) is RetentionRatio and twin == alpha and twin.required(7) == 5
+        assert repr(twin) == "RetentionRatio(2, 3)"
+
+
+def test_pair_requirements_skip_flows_whose_bound_needs_one(monkeypatch):
+    # every pair of bidirected K4 is bounded by 3, and ceil(3/3) = 1, so no
+    # pair needs a flow at 1/3; at 2/3 each of the 12 pairs needs one
+    import mcps.flow as flow_mod
+    calls = []
+    real = flow_mod.max_flow_value
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(flow_mod, "max_flow_value", counting)
+    k4 = fixtures()["bidirected_K4"]
+    assert pair_requirements(k4, RetentionRatio(1, 3)) == [
+        (s, t, 1) for s in range(4) for t in range(4) if s != t]
+    assert calls == []
+    assert {need for _, _, need in pair_requirements(k4, RetentionRatio(2, 3))} == {2}
+    assert len(calls) == 12
 
 
 @pytest.mark.parametrize("lam", range(0, 30))
@@ -135,7 +182,7 @@ def test_feasible_iff_worst_ratio_at_least_alpha(g):
     alpha = RetentionRatio(2, 3)
     subset = [i for i in range(g.m) if i % 2 == 0]
     report = check_all_pairs(g, subset, alpha)
-    assert report.feasible == (report.worst_ratio >= alpha.as_fraction())
+    assert report.feasible == (report.worst_ratio >= alpha)
 
 
 @settings(max_examples=40)
@@ -207,7 +254,7 @@ def _reference_report(graph, subset, alpha):
             need = alpha.required(lam)
             if lam_sub < need and first is None:
                 first = Violation(s, t, lam, lam_sub, need)
-    return CoverageReport(feasible=first is None, first_violation=first, worst_ratio=worst)
+    return CoverageReport(first_violation=first, worst_ratio=worst)
 
 
 @st.composite

@@ -306,7 +306,7 @@ def test_check_p1_reduces_a_dag_once_then_only_core_routes(monkeypatch):
             if run is check_p1:
                 assert check_p1(host) == (True, None)
             else:
-                assert run(host) == mcps.LspVerdict(True, None, None)
+                assert run(host) == mcps.LspVerdict(None, None)
                 meas_partition(host)
                 solve_med(host)
             (first_in, core), *later = calls

@@ -71,6 +71,23 @@ def test_degree_filter_leaves_one_flow_check_on_w_plus(monkeypatch):
     assert len(calls) == 1
 
 
+def test_one_oracle_solve_finds_the_mandatory_edges_once(monkeypatch):
+    # `solve` enumerates twice on w_plus, a non-LSP: for the MCPS and for the
+    # MED behind mcps_star; both start from the same m unique-path flows
+    from mcps import solve
+    calls = []
+    real = oracle.max_flow_value
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "max_flow_value", counting)
+    w_plus = fixtures()["w_plus"]
+    assert solve(w_plus, HALF, mode="oracle").mcps_star == 2
+    assert len(calls) == w_plus.m
+
+
 RATIOS = [RetentionRatio(1, 3), HALF, RetentionRatio(2, 3), RetentionRatio(3, 4)]
 
 

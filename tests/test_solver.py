@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from mcps import (DirectedGraph, EdgeSet, McpsError, NotDspError, NotLspError,
-                  RetentionRatio, check_all_pairs, extract_mscs_or_hamiltonian,
+from mcps import (CoverageReport, DirectedGraph, EdgeSet, LspVerdict, McpsError, NotDspError,
+                  NotLspError, RetentionRatio, check_all_pairs, extract_mscs_or_hamiltonian,
                   mcps_star_value, solve, solve_dsp, solve_lsp, solve_med)
 from mcps import oracle, solver
 from mcps.solution import Solution
@@ -157,8 +157,7 @@ def test_mcps_star_values():
     cover = brute_force_set_cover(art.instance)
     sol_edges = sc_to_mcps_solution(art, cover)
     from mcps.solution import Solution
-    sol = Solution(edges=sol_edges, algorithm="oracle", alpha=art.alpha,
-                   objective=len(sol_edges), mcps_star=None)
+    sol = Solution(edges=sol_edges, algorithm="oracle", alpha=art.alpha, mcps_star=None)
     # the reduction graph is not an LSP (shortcut-edge path sets properly
     # overlap across items), so its MED size comes from brute force; the
     # 34 mandatory unique-path edges make that enumeration cheap
@@ -166,8 +165,7 @@ def test_mcps_star_values():
 
     med_sol = solve_med(DAG3)
     assert mcps_star_value(DAG3, med_sol) == 0
-    full = Solution(edges=EdgeSet.full(DAG3), algorithm="oracle", alpha=HALF,
-                    objective=3, mcps_star=None)
+    full = Solution(edges=EdgeSet.full(DAG3), algorithm="oracle", alpha=HALF, mcps_star=None)
     assert mcps_star_value(DAG3, full) == 1
 
 
@@ -175,7 +173,7 @@ def test_mcps_star_undefined_when_uncomputable():
     from mcps.solution import Solution
     big_non_lsp = fixtures()["w_plus"]
     sol = Solution(edges=EdgeSet.full(big_non_lsp), algorithm="oracle",
-                   alpha=HALF, objective=big_non_lsp.m, mcps_star=None)
+                   alpha=HALF, mcps_star=None)
     assert mcps_star_value(big_non_lsp, sol, oracle_budget=3) is None
 
 
@@ -231,6 +229,20 @@ def test_solve_on_edgeless_graph():
     assert sol.objective == 0
 
 
+def test_derived_fields_are_not_constructor_arguments():
+    g = fixtures()["diamond"]
+    sol = solve(g, HALF)
+    assert sol.objective == len(sol.edges)
+    with pytest.raises(TypeError):
+        Solution(edges=sol.edges, algorithm="dsp", alpha=HALF, objective=1, mcps_star=0)
+    with pytest.raises(TypeError):
+        LspVerdict(is_lsp=True, p1_witness=None, p2_witness=None)
+    with pytest.raises(TypeError):
+        CoverageReport(feasible=True, first_violation=None, worst_ratio=Fraction(1))
+    assert LspVerdict(None, None).is_lsp and not LspVerdict((0, 1), None).is_lsp
+    assert CoverageReport(None, Fraction(1)).feasible
+
+
 def test_solution_json_shape():
     tc = fixtures()["triangle_chord"]
     payload = solve(tc, HALF).to_json_dict(tc)
@@ -250,7 +262,7 @@ def _dropping_first_edge(real):
         sol = real(graph, alpha, *args, **kwargs)
         edges = EdgeSet(sol.edges.sorted()[1:], graph.m)
         return Solution(edges=edges, algorithm=sol.algorithm, alpha=alpha,
-                        objective=len(edges), mcps_star=sol.mcps_star)
+                        mcps_star=sol.mcps_star)
     return broken
 
 

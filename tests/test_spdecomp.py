@@ -57,15 +57,15 @@ def test_cycle_behind_unique_source_and_sink(edges):
 @settings(max_examples=300, deadline=None)
 @given(digraphs(max_n=6, max_m=10))
 def test_rejection_reason_priority(g):
-    # cyclic > multiple-sources > multiple-sinks > w-subdivision
-    if g.m == 0:
-        return
+    # no-edges > cyclic > multiple-sources > multiple-sinks > w-subdivision
     cycle = g.find_cycle()
     try:
         tree = recognize_dsp(g)
     except NotDspError as err:
         witness = err.witness
-        if cycle is not None:
+        if g.m == 0:
+            assert witness.reason == "no-edges"
+        elif cycle is not None:
             assert witness.reason == "cyclic" and witness.cycle == tuple(cycle)
         elif len(g.sources()) != 1:
             assert witness.reason == "multiple-sources"
@@ -81,8 +81,10 @@ def test_rejection_reason_priority(g):
 
 
 def test_edgeless_input_is_an_error():
-    with pytest.raises(ValueError):
-        recognize_dsp(DirectedGraph(3, []))
+    for n in (1, 3):
+        with pytest.raises(NotDspError) as err:
+            recognize_dsp(DirectedGraph(n, []))
+        assert err.value.witness.reason == "no-edges"
 
 
 def test_diamond_tree_shape():

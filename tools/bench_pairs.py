@@ -18,7 +18,8 @@ least 10 pairs were run, the change won at least 9 of every 10 of them and
 the medians differ by more than the base's interquartile range) and
 `within_bound` (the change's median is no worse than the base's
 by more than the metric's bound in BENCHMARK.json). With --trace 1 the runs
-are traced and the metrics are the per-layer ones.
+are traced, the metrics are the per-layer ones, and each run also keeps its
+`spans_per_op` table (every span's calls, duration and self time per op).
 
 Exit codes: 0 when the file was written, 1 when a run failed or reported
 incorrect output (the file is still written, with the failure recorded), 2
@@ -70,10 +71,13 @@ def run_once(root: str, command: list[str], workload: str, seed: int,
                 "error": f"exit {proc.returncode}: {proc.stderr.strip()[-300:]}"}
     report = json.loads(lines[-2])["report"]
     result = json.loads(lines[-1])
-    return {"seed": seed, "wall_s": wall, "ok": bool(result["correct"]),
-            "attempted": result["attempted"], "failed": result["failed"],
-            "calibration_ms": report.get("calibration_ms"),
-            "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+    run = {"seed": seed, "wall_s": wall, "ok": bool(result["correct"]),
+           "attempted": result["attempted"], "failed": result["failed"],
+           "calibration_ms": report.get("calibration_ms"),
+           "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+    if "spans_per_op" in report:  # traced runs: every span's table, to see which layer moved
+        run["spans_per_op"] = report["spans_per_op"]
+    return run
 
 
 def progress(side: str, run: dict) -> str:
