@@ -60,7 +60,6 @@ class ReductionArtifact:
     """
 
     graph: DirectedGraph
-    alpha: RetentionRatio
     p: int
     instance: SetCoverInstance
     item_vertex: dict[int, int]
@@ -71,6 +70,10 @@ class ReductionArtifact:
     set_shortcut_edge: dict[int, int]
     item_shortcut_edge: dict[int, int]
     med_edges: frozenset[int] = field(default_factory=frozenset)
+
+    @property
+    def alpha(self) -> RetentionRatio:  # the ratio p/(p+1) the graph is built for
+        return RetentionRatio(self.p, self.p + 1)
 
     def med_size(self) -> int:
         return len(self.med_edges)
@@ -147,10 +150,9 @@ def build_reduction(sc: SetCoverInstance, p: int = 1) -> ReductionArtifact:
     graph = DirectedGraph(next_id, edges, labels=labels,
                           meta={"kind": "setcover-reduction", "p": p})
     med = frozenset(e for e, role in edge_roles.items() if role in ("incidence", "drain"))
-    art = ReductionArtifact(graph=graph, alpha=RetentionRatio(p, p + 1), p=p,
-                            instance=sc, item_vertex=item_vertex, set_vertex=set_vertex,
-                            sink=sink, vertex_roles=vertex_roles, edge_roles=edge_roles,
-                            set_shortcut_edge=set_shortcut_edge,
+    art = ReductionArtifact(graph=graph, p=p, instance=sc, item_vertex=item_vertex,
+                            set_vertex=set_vertex, sink=sink, vertex_roles=vertex_roles,
+                            edge_roles=edge_roles, set_shortcut_edge=set_shortcut_edge,
                             item_shortcut_edge=item_shortcut_edge, med_edges=med)
     _assert_reduction_invariants(art)
     return art

@@ -10,6 +10,7 @@ computation reproducible.
 from __future__ import annotations
 
 import heapq
+from itertools import chain
 from operator import index
 from typing import Iterable, Iterator, Optional
 
@@ -160,6 +161,40 @@ class DirectedGraph:
             v = next(tail for _, tail in self._in[v] if indeg[tail])
         walk.append(v)
         return walk[:walk.index(v):-1]
+
+    def blocks(self) -> list[tuple[int, ...]]:
+        """The blocks (biconnected components) of the underlying undirected
+        multigraph, ascending tuples of edge ids ordered by smallest edge, by one
+        iterative Hopcroft-Tarjan DFS that keeps no state for edgeless vertices."""
+        if "blocks" in self._cache:
+            return self._cache["blocks"]
+        disc, low, found = {}, {}, []  # discovery index and low point per vertex
+        stack: list[int] = []  # edges of the blocks still open, in DFS order
+        for root in (u for u, _ in self.edges if u not in disc):
+            disc[root] = low[root] = len(disc)
+            # (vertex, tree edge into it, its incident edges left, stack size below that edge)
+            frames = [(root, -1, chain(self._out[root], self._in[root]), 0)]
+            while frames:
+                v, via, incident, mark = frames[-1]
+                for e, w in incident:
+                    if w not in disc:  # tree edge: descend
+                        frames.append((w, e, chain(self._out[w], self._in[w]), len(stack)))
+                        stack.append(e)
+                        disc[w] = low[w] = len(disc)
+                        break
+                    if e != via and disc[w] < disc[v]:  # back edge to an ancestor
+                        stack.append(e)
+                        low[v] = min(low[v], disc[w])
+                else:
+                    frames.pop()
+                    if frames:
+                        u = frames[-1][0]
+                        low[u] = min(low[u], low[v])
+                        if low[v] >= disc[u]:  # u separates v's subtree: close its block
+                            found.append(tuple(sorted(stack[mark:])))
+                            del stack[mark:]
+        self._cache["blocks"] = found = sorted(found)
+        return found
 
     def sources(self) -> list[int]:
         """Vertices with in-degree 0, ascending."""

@@ -10,10 +10,11 @@ per-vertex closure masks built in O(m) big-integer operations. The masks
 take n * m bits, so above _MASK_LIMIT_BITS a query raises
 BudgetExceededError; P1, P2, the EAS family and the MEAS blocks of a DAG
 query only the routes left by one reduction of the whole graph
-(`_dag_core`). Deciding whether an edge lies on a simple s-t path is NP-hard
-on general digraphs, so on cyclic graphs the table walks every simple path
-from s once, under a hard step budget of DEFAULT_PATH_BUDGET * (n - 1) path
-prefixes per source, and caches each row P(s, *) on the graph.
+(`_dag_core`), and P1 asks only about pairs in one block of the graph it reads.
+Deciding whether an edge lies on a simple s-t path is NP-hard on general
+digraphs, so on cyclic graphs the table walks every simple path from s once,
+under a hard step budget of DEFAULT_PATH_BUDGET * (n - 1) path prefixes per
+source, and caches each row P(s, *) on the graph.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ _MASK_LIMIT_BITS = 200_000_000
 
 @dataclass(frozen=True)
 class LspVerdict:
-    p1_witness: Optional[tuple[int, int]]  # first failing (s, t): source x sink on DAGs
+    p1_witness: Optional[tuple[int, int]]  # first failing in-block candidate (s, t)
     p2_witness: Optional[tuple[int, int]]  # defining edges of the first crossing EAS sets
 
     @property
@@ -184,10 +185,10 @@ def eas_family(graph: DirectedGraph) -> EasFamily:
     return graph._cache["eas_family"]
 
 
-def check_p2(graph: DirectedGraph) -> tuple[bool, Optional[tuple[int, int]]]:
-    """Laminarity of the edge EAS family. The witness is the first set S that
-    crosses an earlier one and the first earlier set S crosses, as their
-    defining edges (the first edge whose EAS set each one is), sorted.
+def check_p2(graph: DirectedGraph) -> Optional[tuple[int, int]]:
+    """None when the edge EAS family is laminar, else the witness: the first
+    set S that crosses an earlier one and the first earlier set S crosses, as
+    their defining edges (the first edge whose EAS set each one is), sorted.
 
     One owner scan over the distinct EAS sets, largest first and then by
     smallest edge, decides it: in a laminar family each set nests in the
@@ -209,7 +210,7 @@ def check_p2(graph: DirectedGraph) -> tuple[bool, Optional[tuple[int, int]]]:
             # an earlier set is at least as large, so s crosses it unless disjoint or inside it
             crossed = next((t for t in ordered[:idx] if not (t.isdisjoint(s) or s <= t)), None)
             assert crossed is not None, "the owner scan failed on a set that crosses none"
-            return False, tuple(sorted((distinct[crossed], distinct[s])))
+            return tuple(sorted((distinct[crossed], distinct[s])))
         if owners == {None}:
             maximal.append((distinct[s], s))
         for x in s:
@@ -218,7 +219,7 @@ def check_p2(graph: DirectedGraph) -> tuple[bool, Optional[tuple[int, int]]]:
     assert sum(len(s) for _, s in maximal) == graph.m, "maximal EAS sets do not cover E"
     maximal.sort(key=lambda block: min(block[1]))
     graph._cache["meas_blocks"] = maximal
-    return True, None
+    return None
 
 
 def _is_dsp_with_terminals(graph: DirectedGraph, edge_indices, s: int, t: int) -> bool:
@@ -270,45 +271,52 @@ def _dag_eas_sets(graph: DirectedGraph) -> tuple[frozenset[int], ...]:
     return tuple(sets)
 
 
-def check_p1(graph: DirectedGraph) -> tuple[bool, Optional[tuple[int, int]]]:
-    """Every pair's path-induced subgraph is a DSP with those terminals or
-    empty; witness is the first failing candidate (s, t) in id order, where
-    on a cyclic graph every pair is a candidate, read from one walk per
-    source. Each P(s, t) is decided by an in-place series-parallel reduction
-    on the host's vertex ids (`spdecomp._reduce`), with no subgraph, cycle
-    search or decomposition tree built for it.
+def check_p1(graph: DirectedGraph) -> Optional[tuple[int, int]]:
+    """None when every pair's path-induced subgraph P(s, t) is empty or a
+    DSP on (s, t), else the first failing candidate (s, t) in id order, each
+    decided by an in-place series-parallel reduction (`spdecomp._reduce`).
 
-    On a DAG only source x sink pairs are candidates: every nonempty
-    P(s, t) embeds in some P(source, sink) there, and pair subgraphs of a
-    DSP are again DSPs, so those pairs decide all pairs at once. They are
-    decided on the routes left (the core) by one reduction of the whole DAG
-    (`_dag_core`). An edge is in P(s, t) iff s reaches its tail and its head
-    reaches t, and a route of the workspace stands for edges that all share
-    that status: two parallel routes join the same vertices, and a
-    contracted vertex v (in = out = 1, so neither a source nor a sink) is
-    reached from s iff its only predecessor is and reaches t iff its only
-    successor does. So every step of the shared reduction is a step of
-    P(s, t)'s own reduction or touches none of its edges; the core routes in
-    P(s, t) are the core's own P(s, t), read from the path table of the core
-    as a graph on the host's vertices (`_pair_row`); and by confluence
-    (see `spdecomp`) reducing them ends as reducing P(s, t) itself would.
+    Candidates lie inside one block of two or more edges of the host
+    (`DirectedGraph.blocks`): a simple path between two vertices of a block
+    stays in it, and between vertices of no common block every simple path
+    passes the cut vertices c1, ..., ck between them in order while any
+    in-block paths s-c1, ..., ck-t join into one, so P(s, t) is empty or the
+    series composition of P(s, c1), ..., P(ck, t), a DSP iff each of them
+    is. On a cyclic graph the host is the graph and a block's candidates are
+    its edges' tails x heads; on a DAG, the block's own sources x sinks, as
+    a source a of the block reaching s and a sink b reached from t extend
+    every s-t path to a simple a-b path: P(s, t) is P(a, b)'s pair subgraph.
 
-    The scan takes each source's P(s, t) largest first, and one inside an
-    already recognized DSP D = P(s, t') passes unreduced, cyclic or not:
-    each edge of P(s, t) is on a simple s-t path inside P(s, t), so inside
-    D; P(s, t) is then D's own P_D(s, t), a DSP like every pair subgraph of
-    a DSP.
+    On a DAG the host is the core left by one reduction of the whole DAG
+    (`_dag_core`), which keeps the DAG's sources and sinks, so its pairs
+    decide all pairs. For s and t left in the core, a route's edges all lie
+    in P(s, t) or all miss it (s reaches the tail, the head reaches t):
+    parallel routes join the same vertices, and a contracted vertex (in =
+    out = 1, so neither s nor t) is reached from s iff its predecessor is
+    and reaches t iff its successor does. So each step of the shared
+    reduction is one of P(s, t)'s own or misses it, the core routes in
+    P(s, t) are the core's own P(s, t) (`_pair_row`), and by confluence (see
+    `spdecomp`) reducing them ends as reducing P(s, t) would.
+
+    Per source, P(s, t) are taken largest first, and one inside an already
+    recognized DSP D = P(s, t') passes unreduced, cyclic or not: each edge
+    of P(s, t) is on a simple s-t path inside D, so P(s, t) is D's own
+    P_D(s, t), a DSP like every pair subgraph of a DSP.
     """
-    host, sources, targets = graph, range(graph.n), range(graph.n)
-    if graph.is_acyclic():
-        host, sources, targets = _dag_core(graph)[2], graph.sources(), graph.sinks()
-    # P(s, t) is empty unless s has an edge out and t an edge in
-    sources = [s for s in sources if graph.out_degree(s)]
-    targets = [t for t in targets if graph.in_degree(t)]
-    for s in sources:
+    acyclic = graph.is_acyclic()
+    host = _dag_core(graph)[2] if acyclic else graph
+    targets: dict[int, set[int]] = {}
+    for block in host.blocks():
+        if len(block) > 1:
+            tails, heads = map(set, zip(*(host.edges[e] for e in block)))
+            if acyclic:
+                tails, heads = tails - heads, heads - tails
+            for s in tails:
+                targets.setdefault(s, set()).update(heads)
+    for s in sorted(targets):
         # a lone edge on an s-t path is (s, t), so only two or more are reduced
         reach, row = _pair_row(host, s)
-        pairs = [(mask, t) for t in targets if (mask := reach & row[t]) & (mask - 1)]
+        pairs = [(mask, t) for t in sorted(targets[s]) if (mask := reach & row[t]) & (mask - 1)]
         pairs.sort(key=lambda pair: -pair[0].bit_count())
         dsps, bad = [], graph.n
         for mask, t in pairs:  # past a failing t only smaller targets matter
@@ -319,15 +327,15 @@ def check_p1(graph: DirectedGraph) -> tuple[bool, Optional[tuple[int, int]]]:
             else:
                 bad = t
         if bad < graph.n:
-            return False, (s, bad)
-    return True, None
+            return s, bad
+    return None
 
 
 def is_lsp(graph: DirectedGraph) -> LspVerdict:
     """Conjunction of the P1 and P2 checks, with both witnesses."""
     if "lsp_verdict" not in graph._cache:
-        graph._cache["lsp_verdict"] = LspVerdict(p1_witness=check_p1(graph)[1],
-                                                 p2_witness=check_p2(graph)[1])
+        graph._cache["lsp_verdict"] = LspVerdict(p1_witness=check_p1(graph),
+                                                 p2_witness=check_p2(graph))
     return graph._cache["lsp_verdict"]
 
 

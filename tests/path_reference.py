@@ -9,6 +9,8 @@ source; the budget tests compare step counts against it.
 flow tests' independent reference for max-flow values.
 `minimum_feasible_reference` is the oracle's enumeration with no filter in
 front of the coverage check, the oracle tests' differential reference.
+`blocks_reference` reads the blocks of a graph off their definition by
+simple cycles, the reference for `DirectedGraph.blocks`.
 """
 
 from __future__ import annotations
@@ -189,3 +191,29 @@ def minimum_feasible_reference(graph: DirectedGraph,
             if covers(mandatory + list(combo)):
                 return EdgeSet(mandatory + list(combo), graph.m)
     raise AssertionError("full edge set must be feasible")
+
+
+def blocks_reference(graph: DirectedGraph) -> list[tuple[int, ...]]:
+    """The blocks of the underlying undirected multigraph by definition: two
+    distinct edges share a block iff some simple cycle holds both. Edge e =
+    (u, v)'s block is e plus every edge of a simple v-u path that avoids e,
+    found by exhaustive DFS; the blocks come as ascending tuples, sorted."""
+    incident: list[list[tuple[int, int]]] = [[] for _ in range(graph.n)]
+    for e, (u, v) in enumerate(graph.edges):
+        incident[u].append((e, v))
+        incident[v].append((e, u))
+    found = set()
+    for e, (u, v) in enumerate(graph.edges):
+        block = {e}
+
+        def walk(w: int, on_path: set[int], path: list[int]) -> None:
+            if w == u:
+                block.update(path)
+                return
+            for f, x in incident[w]:
+                if f != e and x not in on_path:
+                    walk(x, on_path | {x}, path + [f])
+
+        walk(v, {v}, [])
+        found.add(tuple(sorted(block)))
+    return sorted(found)

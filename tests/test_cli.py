@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -478,7 +479,6 @@ FIXTURE_STDOUT_SHA256 = {
 
 @pytest.mark.parametrize("name", sorted(fixtures()))
 def test_fixture_stdout_is_pinned(capsys, tmp_path, name):
-    import hashlib
     graph_path, sol_path = tmp_path / "g.el", tmp_path / "sol.json"
     graph_path.write_text(to_edge_list(fixtures()[name]))
     outs = []
@@ -491,6 +491,23 @@ def test_fixture_stdout_is_pinned(capsys, tmp_path, name):
         outs.append(run(capsys, "recognize", "--input", str(graph_path))[1])
         outs.append(run(capsys, "med", "--input", str(graph_path))[1])
     assert hashlib.sha256("".join(outs).encode()).hexdigest() == FIXTURE_STDOUT_SHA256[name]
+
+
+@pytest.mark.parametrize("args,stdout_sha256,meta_sha256", [
+    (["--universe", "4", "--sets", "0,1,2;2,3;1,2", "--p", "1"],
+     "167fb7b0663410355f299ffeb054ea843d2e2796509fd43ec760b93846775196",
+     "412b973ab4c4701e5abe4239ab5de1423c093ab3e6b0e288ab55c2c69d7fdd5b"),
+    (["--universe", "5", "--sets", "0,1;1,2,3;3,4;0,4", "--p", "3"],
+     "b96d7be10431b80077a3f5fff0bb2ce70cb6702d6b23ee013ad78a7a291691bb",
+     "f0458ec02b772ba8d0fa677c93f20305efa503399b4ea7e7d141105f6bc03ce5"),
+])
+def test_gen_setcover_bytes_are_pinned(capsys, tmp_path, args, stdout_sha256, meta_sha256):
+    # recorded while ReductionArtifact stored alpha beside p
+    meta = tmp_path / "sc.json"
+    code, out, _ = run(capsys, "gen", "setcover", *args, "--meta", str(meta))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha256
+    assert hashlib.sha256(meta.read_bytes()).hexdigest() == meta_sha256
 
 
 # --- property tests through cli.main --------------------------------------

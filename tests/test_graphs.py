@@ -6,6 +6,7 @@ from mcps import (DirectedGraph, EdgeSet, EdgeListParseError, parse_edge_list,
                   to_dot, to_edge_list)
 from mcps.generators import fixtures
 
+from path_reference import blocks_reference
 from strategies import digraphs
 
 W_TEXT = "4 5\n0 1\n0 2\n1 3\n2 3\n1 2"
@@ -248,3 +249,23 @@ def test_parse_reports_edge_errors_like_the_two_pass_validator(text):
         parse_edge_list(text)
     assert err.value.line_no == want.line_no
     assert str(err.value) == str(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(digraphs(max_n=7, max_m=12))
+def test_blocks_match_the_cycle_definition(g):
+    blocks = g.blocks()
+    assert sorted(e for block in blocks for e in block) == list(range(g.m))
+    assert all(list(block) == sorted(set(block)) for block in blocks)
+    assert [block[0] for block in blocks] == sorted(block[0] for block in blocks)
+    assert blocks == blocks_reference(g)
+
+
+def test_blocks_of_fixtures():
+    # block_chain: a diamond, the 2-cycle 3 <-> 4, a triangle, the bridge
+    # 6 -> 7 and the directed triangle 0 -> 8 -> 9 -> 0
+    assert fixtures()["block_chain"].blocks() == [
+        (0, 1, 2, 3), (4, 5), (6, 7, 8), (9,), (10, 11, 12)]
+    assert fixtures()["bidirected_K4"].blocks() == [tuple(range(12))]
+    # isolated vertices belong to no block
+    assert DirectedGraph(5, [(3, 1), (1, 4)]).blocks() == [(0,), (1,)]

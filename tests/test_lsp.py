@@ -148,41 +148,46 @@ def test_lsp_pipeline_walks_each_row_at_most_once(monkeypatch):
 
 
 def test_check_p1():
-    ok, witness = check_p1(fixtures()["W"])
-    assert not ok and witness == (0, 3)
-    assert check_p1(fixtures()["diamond"]) == (True, None)
-    assert check_p1(fixtures()["C4"]) == (True, None)
+    assert check_p1(fixtures()["W"]) == (0, 3)
+    assert check_p1(fixtures()["diamond"]) is None
+    assert check_p1(fixtures()["C4"]) is None
+
+
+def _fails_p1(g, s, t):
+    """Whether P(s, t) is neither empty nor a DSP on (s, t)."""
+    edges = path_induced(g, s, t)
+    return bool(edges) and not _is_dsp_with_terminals(g, edges, s, t)
 
 
 def _check_p1_naive(g):
-    for s in range(g.n):
-        for t in range(g.n):
-            if s == t:
-                continue
-            edges = path_induced(g, s, t)
-            if edges and not _is_dsp_with_terminals(g, edges, s, t):
-                return False, (s, t)
-    return True, None
+    """The first failing pair in id order over all pairs, or None."""
+    return next(((s, t) for s in range(g.n) for t in range(g.n)
+                 if s != t and _fails_p1(g, s, t)), None)
 
 
-def _first_failing_terminal_pair_naive(g):
-    for s in g.sources():
-        for t in g.sinks():
-            if s == t:
-                continue
-            edges = path_induced(g, s, t)
-            if edges and not _is_dsp_with_terminals(g, edges, s, t):
-                return s, t
-    return None
+def _p1_candidates(g):
+    """check_p1's stated candidates in id order: in each block with two or more
+    edges of the graph it reads (the reduced core on a DAG), the block's own
+    sources x its own sinks on a DAG, its edges' tails x heads otherwise."""
+    host = lsp_mod._dag_core(g)[2] if g.is_acyclic() else g
+    pairs = set()
+    for block in (block for block in host.blocks() if len(block) > 1):
+        tails = {host.edges[e][0] for e in block}
+        heads = {host.edges[e][1] for e in block}
+        if g.is_acyclic():
+            tails, heads = tails - heads, heads - tails
+        pairs.update((s, t) for s in tails for t in heads if s != t)
+    return sorted(pairs)
 
 
-def _p1_reference(g):
-    """The all-pairs P1 verdict, with the first failing source x sink pair as
-    the witness on DAGs and the first failing pair on cyclic graphs."""
-    ok, witness = _check_p1_naive(g)
-    if not ok and g.is_acyclic():
-        witness = _first_failing_terminal_pair_naive(g)
-    return ok, witness
+def _assert_p1_matches_all_pairs(g):
+    witness = check_p1(g)
+    assert (witness is None) == (_check_p1_naive(g) is None)
+    if witness is not None:
+        s, t = witness
+        assert _fails_p1(g, s, t)
+        assert any({s, t} <= {w for e in block for w in g.edges[e]} for block in g.blocks())
+        assert witness == next(pair for pair in _p1_candidates(g) if _fails_p1(g, *pair))
 
 
 def _relabeled(g, perm):
@@ -190,32 +195,63 @@ def _relabeled(g, perm):
     return DirectedGraph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
 
+@st.composite
+def _dsp_near_misses(draw):
+    """A random DSP plus one edge it lacks."""
+    g = draw(dsp_graphs(max_edges=14))
+    extra = draw(st.sampled_from([(u, v) for u in range(g.n) for v in range(g.n)
+                                  if u != v and not g.has_edge(u, v)]))
+    return DirectedGraph(g.n, list(g.edges) + [extra])
+
+
 @settings(max_examples=80, deadline=None)
 @given(digraphs(max_n=9, max_m=16, acyclic=True), st.data())
 def test_check_p1_dag_shortcut_agrees_with_pairwise_scan(g, data):
-    g = _relabeled(g, data.draw(st.permutations(range(g.n))))
-    assert check_p1(g) == _p1_reference(g)
+    _assert_p1_matches_all_pairs(_relabeled(g, data.draw(st.permutations(range(g.n)))))
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(digraphs(max_n=9, max_m=16), lsp_graphs()))
+@given(st.one_of(digraphs(max_n=9, max_m=16), lsp_graphs(), _dsp_near_misses()))
 @example(DirectedGraph(5, [(0, 1), (1, 2), (2, 0), (1, 3), (3, 4), (4, 1), (2, 3)]))
+# W on 0..3 closed into one block by 3 -> 4 and 0 -> 4: P(0, 3) fails first in
+# id order, but the block's only sink is 4, so the witness is (0, 4)
+@example(DirectedGraph(5, [(0, 1), (0, 2), (1, 3), (2, 3), (1, 2), (3, 4), (0, 4)]))
 def test_check_p1_containment_skip_agrees_with_pairwise_scan(g):
     # a P(s, t) inside a recognized DSP P(s, t') passes unreduced, cyclic or not
-    assert check_p1(g) == _p1_reference(g)
+    _assert_p1_matches_all_pairs(g)
 
 
 @pytest.mark.parametrize("n", [5, 401])
 def test_check_p1_witness_does_not_depend_on_isolated_vertices(n, tmp_path, capsys):
-    # The first failing pair in id order is (1, 4), but on a DAG the witness
-    # is the first failing source x sink pair at every size.
+    # The whole DAG is one block of the reduced core (1 -> 2 -> 0 is one
+    # route) whose sources are 1 and 3, so the first failing candidate is the
+    # first failing pair over all pairs, at every size.
     g = DirectedGraph(n, [(0, 4), (3, 1), (2, 4), (1, 2), (2, 0), (1, 0)])
-    assert _check_p1_naive(g) == (False, (1, 4))
-    assert check_p1(g) == (False, (3, 4))
+    assert _check_p1_naive(g) == (1, 4)
+    assert check_p1(g) == (1, 4)
     path = tmp_path / "g.el"
     path.write_text(to_edge_list(g))
     assert cli.main(["recognize", "--input", str(path)]) == 0
-    assert "p1_witness: 3 4\n" in capsys.readouterr().out
+    assert "p1_witness: 1 4\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("seed", [202, 1, 2])
+def test_check_p1_reduces_at_most_once_per_core_block(seed, monkeypatch):
+    # Candidates lie inside one block of the reduced core, and on these LSPs
+    # each block's candidates take one reduction or are lone routes.
+    g = gen_random_lsp(seed, blocks=60, block_edges=(8, 24), cyclic_prob=0,
+                       bipartite_prob=0.2)
+    calls = []
+
+    def counting(triples):
+        calls.append(None)
+        return real_reduce(triples)
+
+    real_reduce = lsp_mod._reduce
+    monkeypatch.setattr(lsp_mod, "_reduce", counting)
+    assert check_p1(g) is None
+    core_blocks = sum(len(block) > 1 for block in lsp_mod._dag_core(g)[2].blocks())
+    assert len(calls) <= core_blocks
 
 
 @pytest.mark.parametrize("edges", [[(0, 1), (1, 2)], [(0, 1), (1, 2), (2, 0)]])
@@ -236,7 +272,7 @@ def test_check_p1_scans_only_vertices_with_edges(edges, monkeypatch):
 
     real_pair_row = lsp_mod._pair_row
     monkeypatch.setattr(lsp_mod, "_pair_row", counting)
-    assert check_p1(DirectedGraph(3000, edges)) == (True, None)
+    assert check_p1(DirectedGraph(3000, edges)) is None
     assert len(sources) <= 3 and len(targets) <= 9
 
 
@@ -252,7 +288,7 @@ def test_check_p1_reduces_a_directed_cycle_once_per_source(k, monkeypatch):
 
     real_reduce = lsp_mod._reduce
     monkeypatch.setattr(lsp_mod, "_reduce", counting)
-    assert check_p1(DirectedGraph(k, [(v, (v + 1) % k) for v in range(k)])) == (True, None)
+    assert check_p1(DirectedGraph(k, [(v, (v + 1) % k) for v in range(k)])) is None
     assert len(calls) <= k
 
 
@@ -261,8 +297,8 @@ def test_p2_and_every_block_dsp_do_not_imply_p1():
     # yet P(0, 6) spans two blocks and contains W: pairs whose paths cross
     # blocks must still be checked.
     g = DirectedGraph(7, [(0, 1), (0, 2), (1, 3), (1, 6), (2, 3), (3, 4), (3, 6), (4, 6)])
-    assert check_p2(g) == (True, None)
-    assert check_p1(g) == (False, (0, 6))
+    assert check_p2(g) is None
+    assert check_p1(g) == (0, 6)
     assert not is_lsp(g).is_lsp
 
 
@@ -304,7 +340,7 @@ def test_check_p1_reduces_a_dag_once_then_only_core_routes(monkeypatch):
             calls.clear()
             masked.clear()
             if run is check_p1:
-                assert check_p1(host) == (True, None)
+                assert check_p1(host) is None
             else:
                 assert run(host) == mcps.LspVerdict(None, None)
                 meas_partition(host)
@@ -312,7 +348,10 @@ def test_check_p1_reduces_a_dag_once_then_only_core_routes(monkeypatch):
             (first_in, core), *later = calls
             assert first_in == g.m and sum(size == g.m for size, _ in calls) == 1
             assert all(size <= core for size, _ in later), (core, later)
-            assert masked and all(m is not host and m.m == core for m in masked)
+            assert all(m is not host and m.m == core for m in masked)
+            if run is check_p1:  # P1 reads masks only for a block of two or more routes
+                core_blocks = lsp_mod._dag_core(host)[2].blocks()
+                assert bool(masked) == any(len(block) > 1 for block in core_blocks)
             checked += bool(later)
     assert checked  # some graph needed per-pair reductions on its core
 
@@ -421,17 +460,16 @@ def test_check_p1_and_solve_lsp_build_no_tree(monkeypatch):
 
 
 def test_check_p2():
-    ok, witness = check_p2(fixtures()["W"])
-    assert not ok and witness == (1, 2)
+    assert check_p2(fixtures()["W"]) == (1, 2)
     for name in ("block_chain", "diamond_ring", "K33"):
-        assert check_p2(fixtures()[name]) == (True, None)
+        assert check_p2(fixtures()[name]) is None
 
 
 def _check_p2_definition(g):
     """The distinct EAS sets in (-size, smallest edge) order; the first pair
     (i, j), i < j in that order, with j ascending and then i, whose sets are
     neither nested nor disjoint, as their defining edges (the first edge whose
-    EAS set each one is), sorted."""
+    EAS set each one is), sorted; None when there is none."""
     sets = eas_family(g).sets
     defining = {}
     for e, s in enumerate(sets):
@@ -440,8 +478,8 @@ def _check_p2_definition(g):
     for j, b in enumerate(ordered):
         for a in ordered[:j]:
             if not (a <= b or b <= a or a.isdisjoint(b)):
-                return False, tuple(sorted((defining[a], defining[b])))
-    return True, None
+                return tuple(sorted((defining[a], defining[b])))
+    return None
 
 
 @settings(max_examples=80, deadline=None)
@@ -458,9 +496,9 @@ def test_check_p2_witness_without_rescan():
     g = DirectedGraph(base.n, list(base.edges) + [(topo[1], topo[-2])])
     assert g.m == 7461
     start = time.perf_counter()
-    ok, witness = check_p2(g)
+    witness = check_p2(g)
     elapsed = time.perf_counter() - start
-    assert not ok and check_p2(g) == _check_p2_definition(g)
+    assert witness is not None and witness == _check_p2_definition(g)
     assert elapsed < 1.0
 
 
@@ -573,7 +611,7 @@ def test_subdivide():
     assert two_path.n == 3 and two_path.edges == ((0, 2), (2, 1))
     sw = subdivide(fixtures()["W"])
     assert sw.n == 9 and sw.m == 10
-    assert check_p2(sw) == (True, None)
+    assert check_p2(sw) is None
     st = subdivide(DirectedGraph(3, [(0, 1), (1, 2), (2, 0)]))
     assert st.n == 6 and st.m == 6
     assert all(st.in_degree(v) == 1 and st.out_degree(v) == 1 for v in range(6))
@@ -583,7 +621,7 @@ def test_subdivide():
 @settings(max_examples=60, deadline=None)
 @given(digraphs(max_n=5, max_m=8))
 def test_subdivide_always_satisfies_p2(g):
-    assert check_p2(subdivide(g)) == (True, None)
+    assert check_p2(subdivide(g)) is None
 
 
 def test_find_w_subdivision_fixture_values():
@@ -617,9 +655,8 @@ def test_dsp_has_no_w_subdivision(g):
 @settings(max_examples=100, deadline=None)
 @given(digraphs(max_n=5, max_m=9))
 def test_p1_iff_no_w_subdivision(g):
-    ok, _ = check_p1(g)
     found = find_w_subdivision(g)
-    assert ok == (found is None)
+    assert (check_p1(g) is None) == (found is None)
     if found is not None:
         found.validate(g)
 
@@ -652,7 +689,7 @@ def test_dag_reachability_product_rule():
 def test_gen_random_dsp_accepted_and_w_free():
     for seed in range(10):
         g = gen_random_dsp(seed, 8)
-        assert check_p1(g) == (True, None)
+        assert check_p1(g) is None
 
 
 _OVER_CAP_PREFIX = r"graph too large for exact path-set computation \(n\*m = "
