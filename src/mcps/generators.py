@@ -288,24 +288,23 @@ def _materialize_sp_tree(nodes: list[tuple], root: int) -> tuple[int, list[tuple
     return next_vertex, edges
 
 
+def _dsp_block(rng: random.Random, target_edges: int) -> tuple[int, list[tuple[int, int]]]:
+    """(n, edges) of a random DSP on terminals 0 and 1."""
+    nodes, root = _random_sp_tree(rng, target_edges)
+    return _materialize_sp_tree(nodes, root)
+
+
 def gen_random_dsp(seed: int, edges: int) -> DirectedGraph:
     """Random two-terminal series-parallel digraph with about `edges` edges
     (duplicate parallel compositions of bare edges get a subdivision, which
     can push the count slightly above the target)."""
     if edges < 1:
         raise ValueError("target edge count must be positive")
-    rng = random.Random(seed)
-    nodes, root = _random_sp_tree(rng, edges)
-    n, edge_list = _materialize_sp_tree(nodes, root)
+    n, edge_list = _dsp_block(random.Random(seed), edges)
     graph = DirectedGraph(n, edge_list,
                           meta={"kind": "random-dsp", "seed": seed, "edges": edges})
     recognize_dsp(graph)  # construction guarantee, asserted
     return graph
-
-
-def _dsp_block(rng: random.Random, target_edges: int) -> tuple[int, list[tuple[int, int]]]:
-    nodes, root = _random_sp_tree(rng, target_edges)
-    return _materialize_sp_tree(nodes, root)
 
 
 def _cyclic_dsp_block(rng: random.Random, target_edges: int) -> tuple[int, list[tuple[int, int]]]:

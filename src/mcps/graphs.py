@@ -118,11 +118,6 @@ class DirectedGraph:
                     queue.append(x)
         return seen
 
-    def spanning_subgraph(self, edge_set: "EdgeSet | Iterable[int]") -> "DirectedGraph":
-        """Same vertex set, exactly the given edges, in index order."""
-        indices = _as_sorted_indices(edge_set, self.m)
-        return DirectedGraph(self.n, [self.edges[i] for i in indices], labels=self.labels)
-
     def is_acyclic(self) -> bool:
         return self.topological_order() is not None
 

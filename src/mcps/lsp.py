@@ -1,7 +1,7 @@
 """Laminar series-parallel machinery: path-induced subgraphs, edge EAS
 families and their mu-values, the P1/P2 class checks, the MEAS partition
-into the independent DSP blocks the LSP solver works on, edge subdivision,
-and W-subdivision search.
+into the independent DSP blocks the LSP solver works on, and edge
+subdivision.
 
 Every path-induced edge set P(s, t) is read from one table, `_pair_row`,
 as an edge bitmask. On DAGs edge (x, y) lies on a simple s-t path iff s
@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ._wsearch import find_w_subdivision_graph as find_w_subdivision
 from .errors import BudgetExceededError, NotLspError
 from .graphs import DirectedGraph, EdgeSet
 from .spdecomp import (NodeStore, _dsp_root, _leaf_edges, _reduce, _reduce_graph,
@@ -69,22 +68,17 @@ def _closure_edge_masks(graph: DirectedGraph):
         raise BudgetExceededError(
             f"graph too large for exact path-set computation "
             f"(n*m = {graph.n * graph.m} exceeds the closure-mask cap)")
-    tail_mask = [0] * graph.n
-    head_mask = [0] * graph.n
-    for i, (u, v) in enumerate(graph.edges):
-        tail_mask[u] |= 1 << i
-        head_mask[v] |= 1 << i
     from_mask = [0] * graph.n
     for v in reversed(topo):
-        acc = tail_mask[v]
-        for _, head in graph.out_edges(v):
-            acc |= from_mask[head]
+        acc = 0
+        for e, head in graph.out_edges(v):
+            acc |= from_mask[head] | 1 << e
         from_mask[v] = acc
     to_mask = [0] * graph.n
     for v in topo:
-        acc = head_mask[v]
-        for _, tail in graph.in_edges(v):
-            acc |= to_mask[tail]
+        acc = 0
+        for e, tail in graph.in_edges(v):
+            acc |= to_mask[tail] | 1 << e
         to_mask[v] = acc
     result = (from_mask, to_mask)
     graph._cache["closure_masks"] = result
@@ -165,23 +159,14 @@ def path_induced(graph: DirectedGraph, u: int, v: int) -> frozenset[int]:
     return frozenset(_iter_bits(reach & row[v]))
 
 
-@dataclass(frozen=True)
-class EasFamily:
-    """Per-edge path-induced edge sets and their sizes."""
-
-    sets: tuple[frozenset[int], ...]
-
-    def mu(self, edge_index: int) -> int:
-        return len(self.sets[edge_index])
-
-
-def eas_family(graph: DirectedGraph) -> EasFamily:
-    """Each edge's EAS set P(u, v): on a DAG from its shared reduction
+def eas_family(graph: DirectedGraph) -> tuple[frozenset[int], ...]:
+    """Each edge's EAS set P(u, v), indexed by edge, so that its mu-value
+    is `len(eas_family(graph)[e])`: on a DAG from its shared reduction
     (`_dag_eas_sets`), on a cyclic graph from row u of the path table."""
     if "eas_family" not in graph._cache:
-        sets = (_dag_eas_sets(graph) if graph.is_acyclic() else
-                tuple(path_induced(graph, u, v) for u, v in graph.edges))
-        graph._cache["eas_family"] = EasFamily(sets)
+        graph._cache["eas_family"] = (
+            _dag_eas_sets(graph) if graph.is_acyclic() else
+            tuple(path_induced(graph, u, v) for u, v in graph.edges))
     return graph._cache["eas_family"]
 
 
@@ -199,7 +184,7 @@ def check_p2(graph: DirectedGraph) -> Optional[tuple[int, int]]:
     blocks `meas_partition` and the LSP solver read.
     """
     distinct: dict[frozenset, int] = {}
-    for e, s in enumerate(eas_family(graph).sets):
+    for e, s in enumerate(eas_family(graph)):
         distinct.setdefault(s, e)
     ordered = sorted(distinct, key=lambda s: (-len(s), min(s)))
     owner: dict[int, int] = {}

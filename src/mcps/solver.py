@@ -10,7 +10,7 @@ from dataclasses import replace
 from typing import Optional
 
 from . import oracle
-from .errors import McpsError, NotDspError, NotLspError
+from .errors import McpsError, NotDspError
 from .flow import RetentionRatio, check_all_pairs
 from .graphs import DirectedGraph, EdgeSet
 from .lsp import _meas_blocks, eas_family, is_lsp
@@ -80,10 +80,8 @@ def solve_med(graph: DirectedGraph) -> Solution:
 
     Raises NotLspError (carrying the verdict) on non-LSP input.
     """
-    verdict = is_lsp(graph)
-    if not verdict.is_lsp:
-        raise NotLspError(verdict)
-    chosen = [e for e, s in enumerate(eas_family(graph).sets) if len(s) == 1]
+    _meas_blocks(graph)  # the LSP precondition: raises NotLspError otherwise
+    chosen = [e for e, s in enumerate(eas_family(graph)) if len(s) == 1]
     return Solution(edges=EdgeSet(chosen, graph.m), algorithm="med", alpha=None,
                     mcps_star=0)
 

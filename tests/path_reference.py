@@ -183,7 +183,7 @@ def minimum_feasible_reference(graph: DirectedGraph,
     def covers(edges: list[int]) -> bool:
         if alpha is not None:
             return check_all_pairs(graph, edges, alpha).feasible
-        sub = graph.spanning_subgraph(sorted(edges))
+        sub = DirectedGraph(graph.n, [graph.edges[i] for i in sorted(edges)])
         return all(sub.reachable_from(s) == reach[s] for s in range(graph.n))
 
     for k in range(len(free) + 1):

@@ -67,15 +67,6 @@ def test_reachable_from():
             search(3)
 
 
-def test_spanning_subgraph():
-    w = fixtures()["W"]
-    assert w.spanning_subgraph(EdgeSet.full(w)).edges == w.edges
-    empty = w.spanning_subgraph([])
-    assert empty.n == w.n and empty.m == 0
-    path = w.spanning_subgraph(EdgeSet.from_pairs(w, [(0, 1), (1, 3)]))
-    assert path.edges == ((0, 1), (1, 3))
-
-
 def test_to_dot():
     g = DirectedGraph(2, [(0, 1)])
     assert to_dot(g) == "digraph {\n  0 -> 1;\n}\n"
@@ -147,14 +138,6 @@ def test_find_cycle_is_a_simple_cycle_exactly_when_cyclic(g):
 @given(digraphs())
 def test_parse_serialize_round_trip(g):
     assert parse_edge_list(to_edge_list(g)) == g
-
-
-@settings(max_examples=60)
-@given(digraphs())
-def test_spanning_subgraph_counts(g):
-    keep = [i for i in range(g.m) if i % 2 == 0]
-    sub = g.spanning_subgraph(keep)
-    assert sub.n == g.n and sub.m == len(keep)
 
 
 @settings(max_examples=60)

@@ -47,12 +47,12 @@ def test_path_induced_budget_is_a_hard_error(monkeypatch):
 
 def test_mu_values():
     c4 = fixtures()["C4"]
-    assert all(eas_family(c4).mu(e) == 1 for e in range(4))
-    assert eas_family(DAG3).mu(2) == 3
+    assert all(len(eas_family(c4)[e]) == 1 for e in range(4))
+    assert len(eas_family(DAG3)[2]) == 3
     # the terminal edge s->t of the w_plus fixture is its endpoints' only simple path
     wp = fixtures()["w_plus"]
-    assert eas_family(wp).mu(2) == 1
-    assert eas_family(wp).mu(2) == len(enumerate_simple_path_edges(wp, 1, 2))
+    assert len(eas_family(wp)[2]) == 1
+    assert len(eas_family(wp)[2]) == len(enumerate_simple_path_edges(wp, 1, 2))
 
 
 @settings(max_examples=100, deadline=None)
@@ -403,7 +403,7 @@ def test_dag_eas_family_from_the_shared_reduction_matches_path_induced(g, data):
     if data is not None:
         g = _relabeled(g, data.draw(st.permutations(range(g.n))))
     host = DirectedGraph(g.n, g.edges)  # path_induced reads the host's own masks
-    assert eas_family(g).sets == tuple(path_induced(host, u, v) for u, v in g.edges)
+    assert eas_family(g) == tuple(path_induced(host, u, v) for u, v in g.edges)
 
 
 def _recognized_terminals(g, edges):
@@ -470,7 +470,7 @@ def _check_p2_definition(g):
     (i, j), i < j in that order, with j ascending and then i, whose sets are
     neither nested nor disjoint, as their defining edges (the first edge whose
     EAS set each one is), sorted; None when there is none."""
-    sets = eas_family(g).sets
+    sets = eas_family(g)
     defining = {}
     for e, s in enumerate(sets):
         defining.setdefault(s, e)
@@ -530,7 +530,7 @@ def test_meas_partition_requires_lsp():
 def _meas_quadratic(g):
     """Definition of the MEAS partition: the distinct EAS sets not strictly
     contained in another one, ordered by smallest edge index."""
-    distinct = set(eas_family(g).sets)
+    distinct = set(eas_family(g))
     return sorted((sorted(s) for s in distinct
                    if not any(s < other for other in distinct)), key=min)
 
@@ -557,8 +557,8 @@ def test_meas_partition_matches_definition_on_random_lsps(seed, blocks, probs):
 def test_every_edge_belongs_to_its_own_eas(g):
     fam = eas_family(g)
     for e in range(g.m):
-        assert e in fam.sets[e]
-        assert fam.mu(e) >= 1
+        assert e in fam[e]
+        assert len(fam[e]) >= 1
 
 
 @settings(max_examples=30, deadline=None)
@@ -567,7 +567,7 @@ def test_each_eas_lies_in_exactly_one_meas(g):
     parts = [set(p.sorted()) for p in meas_partition(g)]
     fam = eas_family(g)
     for e in range(g.m):
-        containing = [p for p in parts if set(fam.sets[e]) <= p]
+        containing = [p for p in parts if set(fam[e]) <= p]
         assert len(containing) == 1
 
 
@@ -579,7 +579,7 @@ def test_each_meas_block_has_one_defining_edge_and_solve_lsp_reduces_on_it(
     cyclic_prob, bipartite_prob = probs
     g = gen_random_lsp(seed, blocks=blocks, block_edges=(2, 8),
                        cyclic_prob=cyclic_prob, bipartite_prob=bipartite_prob)
-    sets = eas_family(g).sets
+    sets = eas_family(g)
     parts = [block.indices for block in meas_partition(g)]
     defining = []
     for block in parts:
@@ -671,7 +671,7 @@ def test_med_edges_have_mu_one_on_dags():
     for g in (DAG3, fixtures()["reduction_example"], fixtures()["diamond"]):
         if g.m <= 16:
             med = oracle.brute_force_med(g)
-            assert all(eas_family(g).mu(e) == 1 for e in med)
+            assert all(len(eas_family(g)[e]) == 1 for e in med)
 
 
 def test_dag_reachability_product_rule():
@@ -711,6 +711,21 @@ def test_dag_path_sets_over_the_mask_cap_are_a_budget_error(monkeypatch, tmp_pat
     assert cli.main(["med", "--input", str(path)]) == 4
     out = capsys.readouterr()
     assert out.out == "" and out.err == f"budget exceeded: {_OVER_CAP}\n"
+
+
+def test_p1_alone_over_the_mask_cap_raises_when_the_core_shrank(monkeypatch):
+    monkeypatch.setattr(lsp_mod, "_MASK_LIMIT_BITS", 10)
+    # 0 -> 1 -> 2 reduces to one route, so the core (n*m = 12 * 1) is over
+    # the cap, though no block of it has two routes
+    with pytest.raises(BudgetExceededError, match=r"\(the reduced core's n\*m = 12 "
+                       r"exceeds the closure-mask cap; the input's n\*m is 24\)$"):
+        check_p1(DirectedGraph(12, [(0, 1), (1, 2)]))
+    # nothing reduces and each route is its own block, so P1 reads no mask;
+    # the EAS family does
+    fan = DirectedGraph(12, [(0, 1), (0, 2)])
+    assert check_p1(fan) is None
+    with pytest.raises(BudgetExceededError, match=f"^{_OVER_CAP_PREFIX}24 "):
+        is_lsp(fan)
 
 
 def test_core_over_the_mask_cap_names_the_core_and_the_input(monkeypatch, tmp_path, capsys):

@@ -14,19 +14,19 @@ def _reference_greedy_by_mu(graph, requirement):
     coverage evaluated on the selection restricted to the edge's
     path-induced set. Returns (chosen edges, MED size)."""
     fam = eas_family(graph)
-    lam = [max_flow_value(graph, u, v, edges=fam.sets[e])
+    lam = [max_flow_value(graph, u, v, edges=fam[e])
            for e, (u, v) in enumerate(graph.edges)]
-    order = sorted(range(graph.m), key=lambda e: (len(fam.sets[e]), e))
+    order = sorted(range(graph.m), key=lambda e: (len(fam[e]), e))
     chosen: set[int] = set()
     for e in order:
         u, v = graph.edges[e]
         need = requirement(lam[e])
         if need == 0:
             continue
-        have = max_flow_value(graph, u, v, edges=chosen & fam.sets[e], limit=need)
+        have = max_flow_value(graph, u, v, edges=chosen & fam[e], limit=need)
         if have < need:
             chosen.add(e)
-    med_size = sum(1 for s in fam.sets if len(s) == 1)
+    med_size = sum(1 for s in fam if len(s) == 1)
     return chosen, med_size
 
 
