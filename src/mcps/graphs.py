@@ -16,9 +16,10 @@ from typing import Iterable, Iterator, Optional
 
 from .errors import EdgeListParseError
 
-# Largest vertex count an edge-list header may declare. The graph allocates
-# adjacency lists for every declared vertex before any edge is read, so an
-# unchecked header would let a few bytes of input claim gigabytes.
+# Largest vertex count an edge-list header may declare. Scans over
+# range(n) and the first build of the adjacency lists cost time and memory
+# linear in the declared n, so an unchecked header would let a few bytes of
+# input claim gigabytes.
 MAX_HEADER_VERTICES = 1_000_000
 
 
@@ -39,7 +40,9 @@ class DirectedGraph:
     never part of graph identity; `meta` records generator seeds/parameters.
     Instances are immutable after construction and safe to share; `_cache`
     only memoizes derived values (topological order, closures, verdicts),
-    which are idempotent to recompute.
+    which are idempotent to recompute. The adjacency lists `_out` and `_in`
+    are likewise built on first use (`_adjacency`), as a DSP solve never
+    reads them; building them is idempotent too.
     """
 
     __slots__ = ("n", "edges", "labels", "meta", "_out", "_in", "_edge_index", "_cache")
@@ -49,8 +52,6 @@ class DirectedGraph:
                  meta: Optional[dict] = None):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        inc: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         # One pass: the edge-index dict is also the duplicate check, and its
         # insertion order is the edge order.
         edge_index: dict[tuple[int, int], int] = {}
@@ -62,14 +63,10 @@ class DirectedGraph:
                 raise _InvalidEdge(i, f"self-loop at {u}")
             if edge_index.setdefault((u, v), i) != i:
                 raise _InvalidEdge(i, f"duplicate edge ({u}, {v})")
-            out[u].append((i, v))
-            inc[v].append((i, u))
         self.n = n
         self.edges = tuple(edge_index)
         self.labels = dict(labels) if labels else {}
         self.meta = dict(meta) if meta else {}
-        self._out = out
-        self._in = inc
         self._edge_index = edge_index
         self._cache: dict = {}
 
@@ -77,19 +74,48 @@ class DirectedGraph:
     def m(self) -> int:
         return len(self.edges)
 
+    def _adjacency(self) -> tuple[list[list[tuple[int, int]]], list[list[tuple[int, int]]]]:
+        """The lists `_out` and `_in` of (edge index, other end) pairs per
+        vertex, ascending by edge index, built on the first call."""
+        try:
+            return self._out, self._in
+        except AttributeError:
+            pass
+        out: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+        inc: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+        for (u, v), i in self._edge_index.items():
+            out[u].append((i, v))
+            inc[v].append((i, u))
+        self._out, self._in = out, inc
+        return out, inc
+
+    # The accessors below read their slot directly and build the lists only
+    # when it is unset: a try costs nothing in 3.11 when nothing is raised.
     def out_edges(self, v: int) -> list[tuple[int, int]]:
         """(edge index, head) pairs leaving v, ascending by edge index."""
-        return self._out[v]
+        try:
+            return self._out[v]
+        except AttributeError:
+            return self._adjacency()[0][v]
 
     def in_edges(self, v: int) -> list[tuple[int, int]]:
         """(edge index, tail) pairs entering v, ascending by edge index."""
-        return self._in[v]
+        try:
+            return self._in[v]
+        except AttributeError:
+            return self._adjacency()[1][v]
 
     def out_degree(self, v: int) -> int:
-        return len(self._out[v])
+        try:
+            return len(self._out[v])
+        except AttributeError:
+            return len(self._adjacency()[0][v])
 
     def in_degree(self, v: int) -> int:
-        return len(self._in[v])
+        try:
+            return len(self._in[v])
+        except AttributeError:
+            return len(self._adjacency()[1][v])
 
     def edge_index(self, u: int, v: int) -> Optional[int]:
         return self._edge_index.get((u, v))
@@ -99,11 +125,11 @@ class DirectedGraph:
 
     def reachable_from(self, u: int) -> set[int]:
         """Vertices reachable from u via directed edges, including u."""
-        return self._search(u, self._out)
+        return self._search(u, self._adjacency()[0])
 
     def reaching(self, v: int) -> set[int]:
         """Vertices that reach v via directed edges, including v."""
-        return self._search(v, self._in)
+        return self._search(v, self._adjacency()[1])
 
     def _search(self, root: int, adjacency: list[list[tuple[int, int]]]) -> set[int]:
         """Vertices found from root by a BFS along `adjacency` (_out or _in)."""
@@ -125,13 +151,14 @@ class DirectedGraph:
         """A topological order (Kahn, smallest id first), or None if cyclic;
         then the in-degrees the pass left are cached for `find_cycle`."""
         if "topo" not in self._cache:
-            indeg = [self.in_degree(v) for v in range(self.n)]
+            out, inc = self._adjacency()
+            indeg = [len(tails) for tails in inc]
             ready = [v for v in range(self.n) if indeg[v] == 0]  # ascending, so a heap
             order = []
             while ready:
                 v = heapq.heappop(ready)
                 order.append(v)
-                for _, head in self._out[v]:
+                for _, head in out[v]:
                     indeg[head] -= 1
                     if indeg[head] == 0:
                         heapq.heappush(ready, head)
@@ -148,12 +175,13 @@ class DirectedGraph:
         if self.topological_order() is not None:
             return None
         indeg = self._cache["kahn_left"]
+        inc = self._adjacency()[1]
         v = next(v for v in range(self.n) if indeg[v])
         walk, seen = [], set()
         while v not in seen:
             walk.append(v)
             seen.add(v)
-            v = next(tail for _, tail in self._in[v] if indeg[tail])
+            v = next(tail for _, tail in inc[v] if indeg[tail])
         walk.append(v)
         return walk[:walk.index(v):-1]
 
@@ -163,29 +191,35 @@ class DirectedGraph:
         iterative Hopcroft-Tarjan DFS that keeps no state for edgeless vertices."""
         if "blocks" in self._cache:
             return self._cache["blocks"]
+        out, inc = self._adjacency()
         disc, low, found = {}, {}, []  # discovery index and low point per vertex
         stack: list[int] = []  # edges of the blocks still open, in DFS order
         for root in (u for u, _ in self.edges if u not in disc):
             disc[root] = low[root] = len(disc)
-            # (vertex, tree edge into it, its incident edges left, stack size below that edge)
-            frames = [(root, -1, chain(self._out[root], self._in[root]), 0)]
+            # (vertex, its discovery index, tree edge into it, its incident
+            # edges left, stack size below that edge)
+            frames = [(root, disc[root], -1, chain(out[root], inc[root]), 0)]
             while frames:
-                v, via, incident, mark = frames[-1]
+                v, dv, via, incident, mark = frames[-1]
                 for e, w in incident:
-                    if w not in disc:  # tree edge: descend
-                        frames.append((w, e, chain(self._out[w], self._in[w]), len(stack)))
+                    dw = disc.get(w)
+                    if dw is None:  # tree edge: descend
+                        dw = disc[w] = low[w] = len(disc)
+                        frames.append((w, dw, e, chain(out[w], inc[w]), len(stack)))
                         stack.append(e)
-                        disc[w] = low[w] = len(disc)
                         break
-                    if e != via and disc[w] < disc[v]:  # back edge to an ancestor
+                    if dw < dv and e != via:  # back edge to an ancestor
                         stack.append(e)
-                        low[v] = min(low[v], disc[w])
+                        if dw < low[v]:
+                            low[v] = dw
                 else:
                     frames.pop()
                     if frames:
-                        u = frames[-1][0]
-                        low[u] = min(low[u], low[v])
-                        if low[v] >= disc[u]:  # u separates v's subtree: close its block
+                        u, du = frames[-1][:2]
+                        lv = low[v]
+                        if lv < low[u]:
+                            low[u] = lv
+                        if lv >= du:  # u separates v's subtree: close its block
                             found.append(tuple(sorted(stack[mark:])))
                             del stack[mark:]
         self._cache["blocks"] = found = sorted(found)
@@ -193,11 +227,13 @@ class DirectedGraph:
 
     def sources(self) -> list[int]:
         """Vertices with in-degree 0, ascending."""
-        return [v for v in range(self.n) if not self._in[v]]
+        heads = {v for _, v in self.edges}
+        return [v for v in range(self.n) if v not in heads]
 
     def sinks(self) -> list[int]:
         """Vertices with out-degree 0, ascending."""
-        return [v for v in range(self.n) if not self._out[v]]
+        tails = {u for u, _ in self.edges}
+        return [v for v in range(self.n) if v not in tails]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, DirectedGraph)
@@ -217,9 +253,9 @@ class EdgeSet:
 
     def __init__(self, indices: Iterable[int], m: int):
         idx = frozenset(map(index, indices))
-        for i in idx:
-            if not (0 <= i < m):
-                raise ValueError(f"edge index {i} out of range for m={m}")
+        if idx and not (0 <= min(idx) and max(idx) < m):
+            bad = min(i for i in idx if not 0 <= i < m)
+            raise ValueError(f"edge index {bad} out of range for m={m}")
         self.m = m
         self.indices = idx
 

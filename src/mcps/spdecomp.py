@@ -210,52 +210,62 @@ def _terminal_edge_leaves(nodes: NodeStore) -> Iterator[tuple[int, list[int]]]:
 
 def _fold(nodes: NodeStore, root: int, alpha: RetentionRatio
           ) -> tuple[list[int], set[int], int]:
-    """The DSP fold over the subtree at `root`: (full capacity per node, kept
-    leaf edges, MED size).
+    """The DSP fold of a store that is one tree rooted at `root`, as every
+    reduction that ends in one route is: (full capacity per node, kept leaf
+    edges, MED size).
 
-    One bottom-up pass from every leaf edge computes each node's full
-    capacity and its capacity in the selection so far; at each P node whose
-    first child is the leaf of its terminal edge, that edge is dropped if
-    the other children already give the required capacity. Exactly those
-    edges have another path between their endpoints: the MED leaves them
-    out."""
+    One bottom-up pass computes each node's full capacity and its capacity
+    in the selection so far; at each P node whose first child is the leaf
+    of its terminal edge, that edge is dropped if the other children
+    already give the required capacity. Exactly those edges have another
+    path between their endpoints: the MED leaves them out.
+
+    The pass walks the store in creation order, with no postorder list. An
+    S node's children are made before it, so they are done when it is
+    reached; a P node gains children after it is made, so it is folded from
+    its chain when its S parent or the root is reached, by which time its
+    chain is complete. A P node under a P node, which only a hand-built
+    store has, is folded when its parent is."""
     kind, edge, first, second, sibling = (
         nodes.kind, nodes.edge, nodes.first, nodes.second, nodes.sibling)
     required = alpha.required
     full = [1] * len(kind)
     cur = [1] * len(kind)
-    kept: set[int] = set()
-    med_size = 0
-    for i in _postorder(nodes, root):
-        k = kind[i]
-        if k == SERIES:
+    kept = set(edge)
+    med_size = len(edge)
+
+    def close(i: int) -> None:
+        nonlocal med_size
+        head = first[i]
+        f = cap = 0
+        c = head
+        while c >= 0:
+            if kind[c] == PARALLEL:
+                close(c)
+            f += full[c]
+            cap += cur[c]
+            c = sibling[c]
+        if kind[head] == LEAF:
+            med_size -= 1
+            if cap - 1 >= required(f):  # the other children suffice without the edge
+                kept.discard(edge[head])
+                cap -= 1
+        full[i] = f
+        cur[i] = cap
+
+    for i in range(len(edge), len(kind)):
+        if kind[i] == SERIES:
             a, b = first[i], second[i]
+            if kind[a] == PARALLEL:
+                close(a)
+            if kind[b] == PARALLEL:
+                close(b)
             x, y = full[a], full[b]
             full[i] = x if x < y else y
             x, y = cur[a], cur[b]
             cur[i] = x if x < y else y
-        elif k == PARALLEL:
-            head = first[i]
-            f = full[head]
-            cap = 0
-            c = sibling[head]
-            while c >= 0:
-                f += full[c]
-                cap += cur[c]
-                c = sibling[c]
-            if kind[head] == LEAF:
-                med_size -= 1
-                if cap >= required(f):
-                    kept.discard(edge[head])
-                else:
-                    cap += 1
-            else:
-                cap += cur[head]
-            full[i] = f
-            cur[i] = cap
-        else:
-            kept.add(edge[i])
-            med_size += 1
+    if kind[root] == PARALLEL:
+        close(root)
     return full, kept, med_size
 
 

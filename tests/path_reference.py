@@ -11,6 +11,8 @@ flow tests' independent reference for max-flow values.
 front of the coverage check, the oracle tests' differential reference.
 `blocks_reference` reads the blocks of a graph off their definition by
 simple cycles, the reference for `DirectedGraph.blocks`.
+`fold_reference` is the DSP fold over an explicit postorder list, as
+`mcps.spdecomp._fold` was before it walked the node store in creation order.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from typing import Optional
 
 from mcps import (BudgetExceededError, DirectedGraph, EdgeSet, RetentionRatio,
                   check_all_pairs)
+from mcps.spdecomp import LEAF, PARALLEL, SERIES, NodeStore, _postorder
 
 DEFAULT_STEP_BUDGET = 5_000_000
 
@@ -217,3 +220,54 @@ def blocks_reference(graph: DirectedGraph) -> list[tuple[int, ...]]:
         walk(v, {v}, [])
         found.add(tuple(sorted(block)))
     return sorted(found)
+
+
+def fold_reference(nodes: NodeStore, root: int, alpha: RetentionRatio
+                   ) -> tuple[list[int], set[int], int]:
+    """The DSP fold over the subtree at `root`: (full capacity per node, kept
+    leaf edges, MED size).
+
+    One bottom-up pass from every leaf edge computes each node's full
+    capacity and its capacity in the selection so far; at each P node whose
+    first child is the leaf of its terminal edge, that edge is dropped if
+    the other children already give the required capacity. Exactly those
+    edges have another path between their endpoints: the MED leaves them
+    out."""
+    kind, edge, first, second, sibling = (
+        nodes.kind, nodes.edge, nodes.first, nodes.second, nodes.sibling)
+    required = alpha.required
+    full = [1] * len(kind)
+    cur = [1] * len(kind)
+    kept: set[int] = set()
+    med_size = 0
+    for i in _postorder(nodes, root):
+        k = kind[i]
+        if k == SERIES:
+            a, b = first[i], second[i]
+            x, y = full[a], full[b]
+            full[i] = x if x < y else y
+            x, y = cur[a], cur[b]
+            cur[i] = x if x < y else y
+        elif k == PARALLEL:
+            head = first[i]
+            f = full[head]
+            cap = 0
+            c = sibling[head]
+            while c >= 0:
+                f += full[c]
+                cap += cur[c]
+                c = sibling[c]
+            if kind[head] == LEAF:
+                med_size -= 1
+                if cap >= required(f):
+                    kept.discard(edge[head])
+                else:
+                    cap += 1
+            else:
+                cap += cur[head]
+            full[i] = f
+            cur[i] = cap
+        else:
+            kept.add(edge[i])
+            med_size += 1
+    return full, kept, med_size

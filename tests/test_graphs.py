@@ -1,10 +1,13 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcps import (DirectedGraph, EdgeSet, EdgeListParseError, parse_edge_list,
-                  to_dot, to_edge_list)
-from mcps.generators import fixtures
+from mcps import (DirectedGraph, EdgeSet, EdgeListParseError, RetentionRatio, parse_edge_list,
+                  solve_dsp, to_dot, to_edge_list)
+from mcps.generators import fixtures, gen_random_dsp
 
 from path_reference import blocks_reference
 from strategies import digraphs
@@ -97,6 +100,14 @@ def test_edge_set_semantics():
     assert es == EdgeSet([1, 3], 5)
     with pytest.raises(ValueError):
         EdgeSet([5], 5)
+
+
+def test_edge_set_names_its_smallest_out_of_range_index():
+    with pytest.raises(ValueError, match=r"^edge index -1 out of range for m=5$"):
+        EdgeSet([7, -1, 9], 5)
+    with pytest.raises(ValueError, match=r"^edge index 6 out of range for m=5$"):
+        EdgeSet([9, 2, 6, 7], 5)
+    assert EdgeSet([], 0) == EdgeSet(range(0), 0)
 
 
 def test_constructor_rejects_non_integer_vertex_ids():
@@ -252,3 +263,78 @@ def test_blocks_of_fixtures():
     assert fixtures()["bidirected_K4"].blocks() == [tuple(range(12))]
     # isolated vertices belong to no block
     assert DirectedGraph(5, [(3, 1), (1, 4)]).blocks() == [(0,), (1,)]
+
+
+# --- adjacency lists built on first use --------------------------------------
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_solve_dsp_never_builds_the_adjacency_lists(seed):
+    g = parse_edge_list(to_edge_list(gen_random_dsp(seed, 200)))
+    solve_dsp(g, RetentionRatio(1, 2))
+    assert not hasattr(g, "_out") and not hasattr(g, "_in")
+
+
+def _topological_order_reference(g):
+    """Kahn's order by definition: the smallest vertex with no in-edge from a
+    vertex left, again and again; returns the order and the vertices left."""
+    left, order = set(range(g.n)), []
+    while left:
+        free = [v for v in left if not any(u in left for u, w in g.edges if w == v)]
+        if not free:
+            break
+        order.append(min(free))
+        left.remove(order[-1])
+    return order, left
+
+
+def _find_cycle_reference(left, edges):
+    # back from the smallest vertex left, along the first in-edge from a vertex left
+    v, walk = min(left), []
+    while v not in walk:
+        walk.append(v)
+        v = next(u for u, w in edges if w == v and u in left)
+    walk.append(v)
+    return walk[:walk.index(v):-1]
+
+
+def _twins(g):
+    """Ways to come by a graph equal to g: built fresh, with its lists built
+    first, and pickled or deep-copied before any build."""
+    built = DirectedGraph(g.n, g.edges)
+    built._adjacency()
+
+    def unbuilt(copier):
+        twin = copier(DirectedGraph(g.n, g.edges))
+        assert not hasattr(twin, "_out") and not hasattr(twin, "_in")
+        return twin
+
+    return {"fresh": lambda: DirectedGraph(g.n, g.edges),
+            "built": lambda: built,
+            "pickled": lambda: unbuilt(lambda x: pickle.loads(pickle.dumps(x))),
+            "deep-copied": lambda: unbuilt(copy.deepcopy)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(digraphs(max_n=7, max_m=12))
+def test_lazy_adjacency_matches_references_from_the_edges(g):
+    # every query starts from its own copy, so each one may be the first
+    # to build the lists
+    edges = g.edges
+    out = [[(i, w) for i, (u, w) in enumerate(edges) if u == v] for v in range(g.n)]
+    inc = [[(i, u) for i, (u, w) in enumerate(edges) if w == v] for v in range(g.n)]
+    order, left = _topological_order_reference(g)
+    queries = {
+        "out_edges": (lambda h: [h.out_edges(v) for v in range(g.n)], out),
+        "in_edges": (lambda h: [h.in_edges(v) for v in range(g.n)], inc),
+        "out_degree": (lambda h: [h.out_degree(v) for v in range(g.n)], list(map(len, out))),
+        "in_degree": (lambda h: [h.in_degree(v) for v in range(g.n)], list(map(len, inc))),
+        "sources": (DirectedGraph.sources, [v for v in range(g.n) if not inc[v]]),
+        "sinks": (DirectedGraph.sinks, [v for v in range(g.n) if not out[v]]),
+        "topological_order": (DirectedGraph.topological_order, None if left else order),
+        "find_cycle": (DirectedGraph.find_cycle,
+                       _find_cycle_reference(left, edges) if left else None),
+        "blocks": (DirectedGraph.blocks, blocks_reference(g)),
+    }
+    for how, make in _twins(g).items():
+        for name, (query, want) in queries.items():
+            assert query(make()) == want, (how, name)

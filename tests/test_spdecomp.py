@@ -1,11 +1,16 @@
 import pytest
 from hypothesis import given, settings
 
-from mcps import DirectedGraph, NotDspError, max_flow_value, recognize_dsp
+from mcps import DirectedGraph, NotDspError, RetentionRatio, max_flow_value, recognize_dsp
 from mcps.generators import fixtures, gen_random_dsp
-from mcps.spdecomp import LEAF, PARALLEL, SERIES, DecompositionTree, NodeStore
+from mcps.lsp import _meas_blocks
+from mcps.spdecomp import (LEAF, PARALLEL, SERIES, DecompositionTree, NodeStore, _dsp_root,
+                           _fold, _reduce)
 
-from strategies import digraphs, dsp_graphs
+from path_reference import fold_reference
+from strategies import digraphs, dsp_graphs, lsp_graphs
+
+ALPHAS = [RetentionRatio(1, 3), RetentionRatio(1, 2), RetentionRatio(2, 3), RetentionRatio(3, 4)]
 
 
 def test_single_edge_is_leaf_tree():
@@ -152,6 +157,42 @@ def test_validate_rejects_unflattened_parallel_nodes(leaf_edges, inner, cap, mes
     assert tree.cap_full[tree.root] == cap
     with pytest.raises(AssertionError, match=message):
         tree.validate()
+
+
+def _assert_fold_matches_reference(nodes, root):
+    for alpha in ALPHAS:
+        assert _fold(nodes, root, alpha) == fold_reference(nodes, root, alpha)
+
+
+# the stores of test_validate_rejects_unflattened_parallel_nodes, plus a P
+# child after the first: a P node under a P node is the one case of the
+# fold's recursive close
+@pytest.mark.parametrize("leaf_edges,inner", [
+    (range(5), _ROUTES + [(PARALLEL, [4, 5]), (PARALLEL, [7, 6])]),
+    (range(5), _ROUTES + [(PARALLEL, [5, 4, 6])]),
+    (range(4), _ROUTES + [(PARALLEL, [4, 5])]),
+    (range(5), _ROUTES + [(PARALLEL, [4, 5]), (PARALLEL, [6, 7])]),
+], ids=["p-child", "late-leaf", "edge-without-leaf", "late-p-child"])
+def test_fold_matches_the_postorder_reference_on_hand_built_stores(leaf_edges, inner):
+    tree = _hand_built_tree(_parallel_routes_graph(), leaf_edges, inner)
+    _assert_fold_matches_reference(tree.nodes, tree.root)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dsp_graphs(max_edges=30))
+def test_fold_matches_the_postorder_reference_on_dsps(g):
+    tree = recognize_dsp(g)
+    _assert_fold_matches_reference(tree.nodes, tree.root)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lsp_graphs(max_blocks=4, block_hi=10))
+def test_fold_matches_the_postorder_reference_on_lsp_blocks(g):
+    # each MEAS block reduced and rooted as `solve_lsp` does it
+    for defining, block in _meas_blocks(g):
+        nodes, remaining = _reduce((e, *g.edges[e]) for e in sorted(block))
+        root = _dsp_root(remaining, *g.edges[defining])
+        _assert_fold_matches_reference(nodes, root)
 
 
 @settings(max_examples=40, deadline=None)
