@@ -175,17 +175,21 @@ def check_p2(graph: DirectedGraph) -> Optional[tuple[int, int]]:
     set S that crosses an earlier one and the first earlier set S crosses, as
     their defining edges (the first edge whose EAS set each one is), sorted.
 
-    One owner scan over the distinct EAS sets, largest first and then by
-    smallest edge, decides it: in a laminar family each set nests in the
-    last earlier set that holds its edges, or shares no edge with any earlier
-    set and is then maximal. S is the first set whose edges have two or more
-    owners (no owner counts as one). The maximal sets of a laminar family,
-    with their defining edges, are cached ordered by smallest edge: the MEAS
-    blocks `meas_partition` and the LSP solver read.
+    One owner scan over the distinct EAS sets of two or more edges, largest
+    first and then by smallest edge, decides it (a singleton crosses
+    nothing): in a laminar family each set nests in the last earlier set
+    that holds its edges, or shares no edge with any earlier set and is then
+    maximal. S is the first set whose edges have two or more owners (no
+    owner counts as one). An edge no set owns is its own EAS set, and
+    maximal. The maximal sets of a laminar family, with their defining
+    edges, are cached ordered by smallest edge: the MEAS blocks
+    `meas_partition` and the LSP solver read.
     """
+    sets = eas_family(graph)
     distinct: dict[frozenset, int] = {}
-    for e, s in enumerate(eas_family(graph)):
-        distinct.setdefault(s, e)
+    for e, s in enumerate(sets):
+        if len(s) > 1:
+            distinct.setdefault(s, e)
     ordered = sorted(distinct, key=lambda s: (-len(s), min(s)))
     owner: dict[int, int] = {}
     maximal: list[tuple[int, frozenset[int]]] = []
@@ -200,6 +204,7 @@ def check_p2(graph: DirectedGraph) -> Optional[tuple[int, int]]:
             maximal.append((distinct[s], s))
         for x in s:
             owner[x] = idx
+    maximal += [(e, sets[e]) for e in range(graph.m) if e not in owner]
     # Every edge lies in its own EAS set and the maximal sets are disjoint.
     assert sum(len(s) for _, s in maximal) == graph.m, "maximal EAS sets do not cover E"
     maximal.sort(key=lambda block: min(block[1]))

@@ -13,9 +13,9 @@ from . import oracle
 from .errors import McpsError, NotDspError
 from .flow import RetentionRatio, check_all_pairs
 from .graphs import DirectedGraph, EdgeSet
-from .lsp import _meas_blocks, eas_family, is_lsp
+from .lsp import _dag_core, _iter_bits, _meas_blocks, _pair_row, eas_family, is_lsp
 from .solution import Solution
-from .spdecomp import _dsp_root, _fold, _reduce, recognize_dsp
+from .spdecomp import NodeStore, _contract, _dsp_root, _fold, _leaves, recognize_dsp
 
 
 def solve_dsp(graph: DirectedGraph, alpha: RetentionRatio) -> Solution:
@@ -31,7 +31,7 @@ def solve_dsp(graph: DirectedGraph, alpha: RetentionRatio) -> Solution:
     Raises NotDspError (carrying the witness) on non-DSP input.
     """
     tree = recognize_dsp(graph)
-    _, kept, med_size = _fold(tree.nodes, tree.root, alpha)
+    _, kept, med_size = _fold(tree.nodes, (tree.root,), alpha)
     return Solution(edges=EdgeSet(kept, graph.m), algorithm="dsp", alpha=alpha,
                     mcps_star=len(kept) - med_size)
 
@@ -45,28 +45,45 @@ def solve_lsp(graph: DirectedGraph, alpha: RetentionRatio) -> Solution:
     `meas_partition`, read with their defining edges from the P2 scan).
     Every pair's path-induced subgraph lies inside one block, so the blocks
     are independent: the optimum is the union of the DSP optima of the
-    blocks, and the MED size is the sum of theirs. A one-edge block is kept
-    and is its own MED; every other block is reduced in place on the host's
-    vertex ids and folded like `solve_dsp`'s tree.
+    blocks, and the MED size is the sum of theirs.
+
+    All blocks are solved in one node store: on a DAG a copy of the shared
+    reduction's (`_dag_core`, left unmutated), whose routes left, the core,
+    each lie in one block; on a cyclic graph one bare leaf per edge, each
+    its own route. A block whose defining edge (u, v) has core routes out of
+    u and into v is the union of the core's P(u, v) (see `_dag_eas_sets`);
+    two or more such routes are contracted further, down to the one route
+    (u, v), whose P node gains them after the defining edge's leaf as a
+    reduction of the block alone would, up to how S nodes nest. Any other
+    block lies in one route. One `_fold` over the routes left then decides
+    every block, as the fold's S min is associative.
 
     Raises NotLspError (carrying the verdict) on non-LSP input.
     """
+    blocks = _meas_blocks(graph)
     edges = graph.edges
-    chosen: set[int] = set()
-    med_size = 0
-    for defining, block in _meas_blocks(graph):
-        if len(block) == 1:
-            chosen.add(defining)
-            med_size += 1
+    if graph.is_acyclic():
+        base, core, host = _dag_core(graph)
+    else:
+        base = _leaves(list(range(graph.m)), [u for u, _ in edges], [v for _, v in edges])
+        core, host = [(u, v, i) for i, (u, v) in enumerate(edges)], graph
+    nodes = NodeStore._make(col[:] for col in base)
+    roots = [i for _, _, i in core]  # each core route's tree, or its block's once contracted
+    for defining, block in blocks:
+        u, v = edges[defining]
+        if len(block) == 1 or not (host.out_degree(u) and host.in_degree(v)):
             continue
-        nodes, remaining = _reduce((e, *edges[e]) for e in sorted(block))
-        root = _dsp_root(remaining, *edges[defining])
-        assert root is not None, f"LSP block of edge {defining} is not a DSP on its endpoints"
-        _, kept, block_med = _fold(nodes, root, alpha)
-        chosen |= kept
-        med_size += block_med
-    return Solution(edges=EdgeSet(chosen, graph.m), algorithm="lsp", alpha=alpha,
-                    mcps_star=len(chosen) - med_size)
+        reach, row = _pair_row(host, u)
+        routes = reach & row[v]
+        if routes & (routes - 1):
+            routes = list(_iter_bits(routes))
+            root = _dsp_root(_contract(nodes, [(roots[r], *core[r][:2]) for r in routes]), u, v)
+            assert root is not None, f"LSP block of edge {defining} is not a DSP on its endpoints"
+            for r in routes:
+                roots[r] = root
+    _, kept, med_size = _fold(nodes, set(roots), alpha)
+    return Solution(edges=EdgeSet(kept, graph.m), algorithm="lsp", alpha=alpha,
+                    mcps_star=len(kept) - med_size)
 
 
 def solve_med(graph: DirectedGraph) -> Solution:

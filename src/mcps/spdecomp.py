@@ -1,7 +1,7 @@
 """Two-terminal series-parallel recognition, decomposition trees and
 capacity folding.
 
-Recognition works by exhaustive series/parallel reduction (`_reduce`) on a
+Recognition works by exhaustive series/parallel reduction (`_contract`) on a
 multigraph workspace of routes over the original vertex ids: inner vertices
 with in-degree = out-degree = 1 are contracted (series), parallel routes are
 merged on creation (parallel), each step recording a tree node. Parallel
@@ -35,9 +35,11 @@ through the contracted vertex into a shorter cycle (a self-loop at worst),
 and a parallel merge keeps a route between the merged pair, so no step
 removes a cycle; and the source s and the sink t lie on none. A reduction
 that ends in the single route (s, t) therefore proves the input acyclic, and
-the cycle search runs only to say why a graph is rejected. The same kernel
-decides the path-induced subgraphs of the P1 check and reduces the blocks of
-the LSP solver, without building a graph or a tree object for them.
+the cycle search runs only to say why a graph is rejected. The same loop
+decides the path-induced subgraphs of the P1 check, and the LSP solver runs
+it on the routes of each MEAS block in a copy of a DAG's shared store, so
+the blocks continue that reduction and one fold covers them all; none of
+this builds a graph or a tree object.
 """
 
 from __future__ import annotations
@@ -116,7 +118,7 @@ class DecompositionTree:
     @cached_property
     def cap_full(self) -> list[int]:
         # the full capacities do not depend on the retention ratio
-        return _fold(self.nodes, self.root, RetentionRatio(1, 2))[0]
+        return _fold(self.nodes, (self.root,), RetentionRatio(1, 2))[0]
 
     def children(self, i: int) -> list[int]:
         """Node i's children in order (empty for a leaf)."""
@@ -208,11 +210,11 @@ def _terminal_edge_leaves(nodes: NodeStore) -> Iterator[tuple[int, list[int]]]:
             if k == PARALLEL and kind[first[i]] == LEAF)
 
 
-def _fold(nodes: NodeStore, root: int, alpha: RetentionRatio
+def _fold(nodes: NodeStore, roots: Iterable[int], alpha: RetentionRatio
           ) -> tuple[list[int], set[int], int]:
-    """The DSP fold of a store that is one tree rooted at `root`, as every
-    reduction that ends in one route is: (full capacity per node, kept leaf
-    edges, MED size).
+    """The DSP fold of a store that is a forest of trees rooted at `roots`,
+    every leaf under one of them, as the routes left by a reduction are:
+    (full capacity per node, kept leaf edges, MED size).
 
     One bottom-up pass computes each node's full capacity and its capacity
     in the selection so far; at each P node whose first child is the leaf
@@ -223,9 +225,9 @@ def _fold(nodes: NodeStore, root: int, alpha: RetentionRatio
     The pass walks the store in creation order, with no postorder list. An
     S node's children are made before it, so they are done when it is
     reached; a P node gains children after it is made, so it is folded from
-    its chain when its S parent or the root is reached, by which time its
-    chain is complete. A P node under a P node, which only a hand-built
-    store has, is folded when its parent is."""
+    its chain when its S parent is reached, or after the pass if it is a
+    root, by which time its chain is complete. A P node under a P node,
+    which only a hand-built store has, is folded when its parent is."""
     kind, edge, first, second, sibling = (
         nodes.kind, nodes.edge, nodes.first, nodes.second, nodes.sibling)
     required = alpha.required
@@ -264,43 +266,41 @@ def _fold(nodes: NodeStore, root: int, alpha: RetentionRatio
             full[i] = x if x < y else y
             x, y = cur[a], cur[b]
             cur[i] = x if x < y else y
-    if kind[root] == PARALLEL:
-        close(root)
+    for root in roots:
+        if kind[root] == PARALLEL:
+            close(root)
     return full, kept, med_size
 
 
-def _reduce(triples: Iterable[tuple[int, int, int]]
-            ) -> tuple[NodeStore, list[tuple[int, int, int]]]:
-    """Series-parallel reduction of the routes given as (edge id, tail, head).
+def _leaves(edge: list[int], s: list[int], t: list[int]) -> NodeStore:
+    """A store of bare leaves: leaf i is host edge edge[i], from s[i] to t[i]."""
+    m = len(edge)
+    return NodeStore([LEAF] * m, edge, s, t, [-1] * m, [-1] * m, [-1] * m)
+
+
+def _contract(nodes: NodeStore, routes: Iterable[tuple[int, int, int]]
+              ) -> list[tuple[int, int, int]]:
+    """Series-parallel reduction of the routes given as (node id, tail, head)
+    of `nodes`, read in full before `nodes` gains the S and P nodes in
+    creation order; returns the routes left when no step applies, as (tail,
+    head, node id).
 
     A series step contracts a vertex with in- and out-degree 1, and a
-    parallel merge joins a new route to the routes with its tail and head;
-    sources and sinks of the input are never contracted (see the module
-    docstring). Returns the node store (one leaf per triple, in triple
-    order, then the S and P nodes in creation order) and the routes left
-    when no step applies, as (tail, head, node id). An input whose only
-    source is s and only sink is t is a DSP with terminals s and t iff
-    exactly one route remains and it is (s, t); its node is then the root.
-    Contraction picks the lowest eligible vertex id first and a parallel
+    parallel merge joins a new route to the route with its tail and head;
+    sources and sinks of the routes are never contracted (see the module
+    docstring). Contraction picks the lowest eligible vertex id first. A
     merge links the newer route after the last child of the older route's
-    P node (made on the first merge), so the result is deterministic; by
-    confluence the routes left, though not the tree, are the same in any
-    order on acyclic inputs.
+    P node, made on the first merge unless the older route's node is a P
+    node already, so a route's P node keeps its first child. The result is
+    deterministic; by confluence the routes left, though not the tree, are
+    the same in any order on acyclic inputs.
     """
-    edge: list[int] = []
-    s: list[int] = []
-    t: list[int] = []
+    kind, s, t, first, second, sibling = (
+        nodes.kind, nodes.s, nodes.t, nodes.first, nodes.second, nodes.sibling)
     out: defaultdict[int, dict[int, int]] = defaultdict(dict)
     inn: defaultdict[int, dict[int, int]] = defaultdict(dict)
-    for i, (e, u, v) in enumerate(triples):
-        edge.append(e)
-        s.append(u)
-        t.append(v)
+    for i, u, v in routes:
         out[u][v] = inn[v][u] = i
-    kind = [LEAF] * len(edge)
-    first = [-1] * len(edge)
-    second = first[:]
-    sibling = first[:]
 
     heap = [v for v, succ in out.items()
             if len(succ) == 1 and len(inn[v]) == 1]
@@ -346,16 +346,33 @@ def _reduce(triples: Iterable[tuple[int, int, int]]
             if len(out[w]) == 1 and len(inn[w]) == 1:
                 heappush(heap, w)
 
-    remaining = [(x, y, i) for x, succ in out.items() for y, i in succ.items()]
-    return NodeStore(kind, edge, s, t, first, second, sibling), remaining
+    return [(x, y, i) for x, succ in out.items() for y, i in succ.items()]
+
+
+def _reduce(triples: Iterable[tuple[int, int, int]]
+            ) -> tuple[NodeStore, list[tuple[int, int, int]]]:
+    """`_contract` of one leaf per (edge id, tail, head) triple, in triple
+    order: the node store and the routes left. An input whose only source
+    is s and only sink is t is a DSP with terminals s and t iff exactly one
+    route remains and it is (s, t); its node is then the root."""
+    edge: list[int] = []
+    s: list[int] = []
+    t: list[int] = []
+    for e, u, v in triples:
+        edge.append(e)
+        s.append(u)
+        t.append(v)
+    nodes = _leaves(edge, s, t)
+    return nodes, _contract(nodes, zip(range(len(edge)), s, t))
 
 
 def _reduce_graph(graph: DirectedGraph) -> tuple[NodeStore, list[tuple[int, int, int]]]:
     """`_reduce` of the graph's whole edge set (leaf i is edge i), run once
     and cached on the graph for `recognize_dsp` and the LSP checks."""
     if "reduction" not in graph._cache:
-        graph._cache["reduction"] = _reduce(
-            (i, u, v) for i, (u, v) in enumerate(graph.edges))
+        edges = graph.edges
+        nodes = _leaves(list(range(len(edges))), [u for u, _ in edges], [v for _, v in edges])
+        graph._cache["reduction"] = nodes, _contract(nodes, zip(nodes.edge, nodes.s, nodes.t))
     return graph._cache["reduction"]
 
 
@@ -371,19 +388,23 @@ def _dsp_root(remaining: list[tuple[int, int, int]], s: int, t: int) -> Optional
 def recognize_dsp(graph: DirectedGraph) -> DecompositionTree:
     """Decompose a two-terminal series-parallel digraph, or raise NotDspError.
 
-    The tree is deterministic (see `_reduce`). A rejection reports the
-    first reason that applies, in the order: no edges, a cycle
+    The tree is deterministic (see `_contract`). The graph is a DSP on
+    (s, t) iff its reduction leaves the one route (s, t) with s != t after
+    n - 2 series steps: a contracted vertex has an edge in and one out, and
+    a route into s or out of t would outlast every step, so s is the only
+    source, t the only sink and no vertex is isolated; the reduction proves
+    such a graph acyclic (see the module docstring). A rejection reports
+    the first reason that applies, in the order: no edges, a cycle
     (`find_cycle`'s), several sources, several sinks, then a W-subdivision.
     """
     if graph.m == 0:
         raise NotDspError(NotDspWitness("no-edges"))
+    nodes, remaining = _reduce_graph(graph)
+    if (len(remaining) == 1 and remaining[0][0] != remaining[0][1]
+            and nodes.kind.count(SERIES) == graph.n - 2):
+        return DecompositionTree(graph, nodes, remaining[0][2])
     srcs = graph.sources()
     snks = graph.sinks()
-    if len(srcs) == 1 and len(snks) == 1:
-        nodes, remaining = _reduce_graph(graph)
-        root = _dsp_root(remaining, srcs[0], snks[0])
-        if root is not None:
-            return DecompositionTree(graph, nodes, root)
     cycle = graph.find_cycle()
     if cycle is not None:
         raise NotDspError(NotDspWitness("cyclic", cycle=tuple(cycle)))

@@ -13,6 +13,10 @@ front of the coverage check, the oracle tests' differential reference.
 simple cycles, the reference for `DirectedGraph.blocks`.
 `fold_reference` is the DSP fold over an explicit postorder list, as
 `mcps.spdecomp._fold` was before it walked the node store in creation order.
+`solve_lsp_reference` reduces and folds each MEAS block on its own, as
+`mcps.solver.solve_lsp` did before it continued the shared reduction.
+`check_p2_reference` is the P2 owner scan over every distinct EAS set,
+singletons included, as `mcps.lsp.check_p2` was before it skipped them.
 """
 
 from __future__ import annotations
@@ -22,8 +26,11 @@ from itertools import combinations
 from typing import Optional
 
 from mcps import (BudgetExceededError, DirectedGraph, EdgeSet, RetentionRatio,
-                  check_all_pairs)
-from mcps.spdecomp import LEAF, PARALLEL, SERIES, NodeStore, _postorder
+                  check_all_pairs, eas_family)
+from mcps.lsp import _meas_blocks
+from mcps.solution import Solution
+from mcps.spdecomp import (LEAF, PARALLEL, SERIES, NodeStore, _dsp_root, _fold, _postorder,
+                           _reduce)
 
 DEFAULT_STEP_BUDGET = 5_000_000
 
@@ -271,3 +278,49 @@ def fold_reference(nodes: NodeStore, root: int, alpha: RetentionRatio
             kept.add(edge[i])
             med_size += 1
     return full, kept, med_size
+
+
+def solve_lsp_reference(graph: DirectedGraph, alpha: RetentionRatio) -> Solution:
+    """The LSP optimum block by block: a one-edge MEAS block is kept and is
+    its own MED; every other block is reduced alone, on the host's vertex
+    ids, down to its defining edge's route and folded from that root."""
+    edges = graph.edges
+    chosen: set[int] = set()
+    med_size = 0
+    for defining, block in _meas_blocks(graph):
+        if len(block) == 1:
+            chosen.add(defining)
+            med_size += 1
+            continue
+        nodes, remaining = _reduce((e, *edges[e]) for e in sorted(block))
+        root = _dsp_root(remaining, *edges[defining])
+        assert root is not None, f"LSP block of edge {defining} is not a DSP on its endpoints"
+        _, kept, block_med = _fold(nodes, (root,), alpha)
+        chosen |= kept
+        med_size += block_med
+    return Solution(edges=EdgeSet(chosen, graph.m), algorithm="lsp", alpha=alpha,
+                    mcps_star=len(chosen) - med_size)
+
+
+def check_p2_reference(graph: DirectedGraph
+                       ) -> tuple[Optional[tuple[int, int]], list[tuple[int, frozenset[int]]]]:
+    """(P2 witness, MEAS blocks) by the owner scan over every distinct EAS
+    set, largest first and then by smallest edge; the blocks, with their
+    defining edges and ordered by smallest edge, are [] when P2 fails."""
+    distinct: dict[frozenset, int] = {}
+    for e, s in enumerate(eas_family(graph)):
+        distinct.setdefault(s, e)
+    ordered = sorted(distinct, key=lambda s: (-len(s), min(s)))
+    owner: dict[int, int] = {}
+    maximal: list[tuple[int, frozenset[int]]] = []
+    for idx, s in enumerate(ordered):
+        owners = {owner.get(x) for x in s}
+        if len(owners) > 1:
+            crossed = next(t for t in ordered[:idx] if not (t.isdisjoint(s) or s <= t))
+            return tuple(sorted((distinct[crossed], distinct[s]))), []
+        if owners == {None}:
+            maximal.append((distinct[s], s))
+        for x in s:
+            owner[x] = idx
+    maximal.sort(key=lambda block: min(block[1]))
+    return None, maximal

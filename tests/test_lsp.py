@@ -13,9 +13,10 @@ from mcps import cli, oracle
 import mcps.lsp as lsp_mod
 import mcps.spdecomp as spdecomp_mod
 from mcps.lsp import _is_dsp_with_terminals, _iter_bits, _source_row
+from mcps.spdecomp import _leaf_edges
 from mcps.generators import fixtures, gen_random_dsp, gen_random_lsp
 
-from path_reference import enumerate_simple_path_edges, per_pair_path_induced
+from path_reference import check_p2_reference, enumerate_simple_path_edges, per_pair_path_induced
 from strategies import digraphs, dsp_graphs, lsp_graphs
 
 DAG3 = DirectedGraph(3, [(0, 1), (1, 2), (0, 2)])
@@ -309,11 +310,11 @@ def test_check_p1_reduces_a_dag_once_then_only_core_routes(monkeypatch):
     # are the core's.
     calls, masked = [], []
 
-    def counting(triples):
-        triples = list(triples)
-        nodes, remaining = real_reduce(triples)
-        calls.append((len(triples), len(remaining)))
-        return nodes, remaining
+    def counting(nodes, routes):
+        routes = list(routes)
+        remaining = real_contract(nodes, routes)
+        calls.append((len(routes), len(remaining)))
+        return remaining
 
     def recording(graph):
         masked.append(graph)
@@ -326,9 +327,8 @@ def test_check_p1_reduces_a_dag_once_then_only_core_routes(monkeypatch):
             pass
         return is_lsp(host)
 
-    real_reduce, real_masks = lsp_mod._reduce, lsp_mod._closure_edge_masks
-    monkeypatch.setattr(lsp_mod, "_reduce", counting)
-    monkeypatch.setattr(spdecomp_mod, "_reduce", counting)
+    real_contract, real_masks = spdecomp_mod._contract, lsp_mod._closure_edge_masks
+    monkeypatch.setattr(spdecomp_mod, "_contract", counting)
     monkeypatch.setattr(lsp_mod, "_closure_edge_masks", recording)
     checked = 0
     lsps = [gen_random_lsp(seed, blocks=5, block_edges=(3, 10), cyclic_prob=0,
@@ -586,24 +586,43 @@ def test_each_meas_block_has_one_defining_edge_and_solve_lsp_reduces_on_it(
         owners = [e for e in block if sets[e] == block]
         assert len(owners) == 1, (g.edges, block)
         defining.append(owners[0])
-    reduced = []
-    ends = []
+    contracted, ends = [], []
 
-    def recording(triples):
-        triples = list(triples)
-        reduced.append(frozenset(e for e, _, _ in triples))
-        nodes, remaining = real_reduce(triples)
+    def recording(nodes, routes):
+        routes = list(routes)
+        contracted.append(sorted(i for i, _, _ in routes))
+        remaining = real_contract(nodes, routes)
         ends.append(remaining[0][:2])
-        return nodes, remaining
+        return remaining
 
-    real_reduce = mcps.solver._reduce
+    real_contract = mcps.solver._contract
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(mcps.solver, "_reduce", recording)
+        mp.setattr(mcps.solver, "_contract", recording)
         solve_lsp(g, RetentionRatio(1, 2))
-    # a one-edge block is kept without a reduction; every other block is
-    # reduced, in block order, down to the route of its defining edge
-    assert ends == [g.edges[e] for e, b in zip(defining, parts) if len(b) > 1]
-    assert [b for b in parts if b not in reduced] == [b for b in parts if len(b) == 1]
+    # a block's routes are the routes of the shared reduction (bare edges
+    # on a cyclic graph) whose edges all lie in it; every block of two or
+    # more routes is contracted, in block order, from exactly its routes
+    # down to the route of its defining edge, and no other block is
+    if g.is_acyclic():
+        nodes, core, _ = lsp_mod._dag_core(g)
+        routes = [(i, set(_leaf_edges(nodes, i))) for _, _, i in core]
+    else:
+        routes = [(e, {e}) for e in range(g.m)]
+    in_block = [sorted(i for i, leaves in routes if leaves <= block) for block in parts]
+    multi = [k for k, block_routes in enumerate(in_block) if len(block_routes) > 1]
+    assert contracted == [in_block[k] for k in multi]
+    assert ends == [g.edges[defining[k]] for k in multi]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(digraphs(max_n=6, max_m=10), lsp_graphs(max_blocks=4, block_hi=8)))
+def test_check_p2_matches_the_owner_scan_over_every_set(g):
+    # singletons cross nothing: skipping them keeps the witness and the
+    # MEAS blocks the scan over every distinct EAS set gives
+    witness, blocks = check_p2_reference(DirectedGraph(g.n, g.edges))
+    assert check_p2(g) == witness
+    if witness is None:
+        assert g._cache["meas_blocks"] == blocks
 
 
 def test_subdivide():

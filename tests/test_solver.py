@@ -6,12 +6,13 @@ from hypothesis import example, given, settings
 from mcps import (CoverageReport, DirectedGraph, EdgeSet, LspVerdict, McpsError, NotDspError,
                   NotLspError, RetentionRatio, check_all_pairs, extract_mscs_or_hamiltonian,
                   mcps_star_value, solve, solve_dsp, solve_lsp, solve_med)
-from mcps import oracle, solver
+from mcps import eas_family, is_lsp, oracle, solver
+from mcps.lsp import _dag_core
 from mcps.solution import Solution
 from mcps.generators import (example_reduction_artifact, fixtures, brute_force_set_cover,
                              gen_random_dsp, gen_random_lsp, sc_to_mcps_solution)
 
-from path_reference import enumerate_simple_path_edges
+from path_reference import enumerate_simple_path_edges, solve_lsp_reference
 from strategies import dsp_graphs, lsp_graphs
 
 HALF = RetentionRatio(1, 2)
@@ -69,6 +70,40 @@ def test_lsp_algorithm_equals_dsp_algorithm_on_dsps(g):
 def test_solution_size_monotone_in_alpha(g):
     sizes = [solve_lsp(g, alpha).objective for alpha in ALPHAS]
     assert sizes == sorted(sizes)
+
+
+def _assert_solve_lsp_matches_the_reference(g):
+    for alpha in ALPHAS:
+        want = solve_lsp_reference(DirectedGraph(g.n, g.edges), alpha)
+        got = solve_lsp(g, alpha)
+        assert (got.edges, got.mcps_star) == (want.edges, want.mcps_star), alpha
+
+
+@settings(max_examples=80, deadline=None)
+@given(lsp_graphs(max_blocks=5, block_hi=10))
+@example(gen_random_lsp(3, blocks=4, block_edges=(4, 10), cyclic_prob=0, bipartite_prob=0.5))
+@example(gen_random_lsp(3, blocks=4, block_edges=(4, 10), cyclic_prob=1, bipartite_prob=0))
+def test_solve_lsp_matches_the_block_by_block_reference(g):
+    # one contraction per multi-route block in a copy of the shared store,
+    # then one fold, against a reduction and a fold per MEAS block
+    _assert_solve_lsp_matches_the_reference(g)
+
+
+LARGER_LSPS = [gen_random_lsp(seed, blocks=30, block_edges=(8, 24), cyclic_prob=cyclic,
+                              bipartite_prob=0.2)
+               for seed, cyclic in ((202, 0), (7, 0), (11, 0.3))]
+
+
+@pytest.mark.parametrize("g", LARGER_LSPS, ids=["dag-202", "dag-7", "cyclic-11"])
+def test_solve_lsp_leaves_the_shared_store_and_eas_family_as_they_were(g):
+    g = DirectedGraph(g.n, g.edges)
+    assert is_lsp(g).is_lsp
+    family = eas_family(g)
+    store = [list(col) for col in _dag_core(g)[0]] if g.is_acyclic() else None
+    _assert_solve_lsp_matches_the_reference(g)
+    assert eas_family(g) == family
+    if store is not None:
+        assert [list(col) for col in _dag_core(g)[0]] == store
 
 
 def test_solve_med_examples():

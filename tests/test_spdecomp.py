@@ -85,6 +85,22 @@ def test_rejection_reason_priority(g):
         tree.validate()
 
 
+@pytest.mark.parametrize("n,edges,reason,field,value", [
+    (4, [(0, 1), (1, 2), (0, 2)], "multiple-sources", "sources", (0, 3)),
+    (4, [(1, 2), (2, 3), (1, 3)], "multiple-sources", "sources", (0, 1)),
+    (4, [(0, 1), (1, 2), (2, 0)], "cyclic", "cycle", None),
+], ids=["dsp-then-isolated", "isolated-then-dsp", "cycle-and-isolated"])
+def test_an_isolated_vertex_keeps_its_rejection_reason(n, edges, reason, field, value):
+    # a DSP plus an isolated vertex reduces to one route after n - 3 series
+    # steps, not n - 2, so it is rejected, with the reason the sources give
+    g = DirectedGraph(n, edges)
+    with pytest.raises(NotDspError) as err:
+        recognize_dsp(g)
+    witness = err.value.witness
+    assert witness.reason == reason
+    assert getattr(witness, field) == (value if value is not None else tuple(g.find_cycle()))
+
+
 def test_edgeless_input_is_an_error():
     for n in (1, 3):
         with pytest.raises(NotDspError) as err:
@@ -161,7 +177,7 @@ def test_validate_rejects_unflattened_parallel_nodes(leaf_edges, inner, cap, mes
 
 def _assert_fold_matches_reference(nodes, root):
     for alpha in ALPHAS:
-        assert _fold(nodes, root, alpha) == fold_reference(nodes, root, alpha)
+        assert _fold(nodes, (root,), alpha) == fold_reference(nodes, root, alpha)
 
 
 # the stores of test_validate_rejects_unflattened_parallel_nodes, plus a P

@@ -1,0 +1,113 @@
+"""Compare a base revision's answers with the working tree's on every
+benchmark instance.
+
+    python3 tools/same_answers.py --base HEAD~1
+
+Run from the repository root. The base revision is exported as
+`tools/bench_pairs.py` exports it; the change side is the working tree as
+it stands. Each side runs this script's worker against its own `src/` and
+`perfbench/`, which is only read. For every instance of
+`perfbench/expected.json` the worker reports:
+
+- dsp-large and lsp-dag: the kept edge set, objective and mcps_star of
+  `solve_dsp` / `solve_lsp` at each listed ratio, each on a fresh parse;
+- cli-mixed: the exit code and stdout of each CLI op at each listed ratio,
+  in the workload's order (a solve's stdout is the following check's input).
+
+The first answer that differs is printed and the exit code is 1; otherwise
+the count of identical answers is printed and the exit code is 0. Exit code
+2 means a side's worker failed or the base revision cannot be exported.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+from bench_pairs import ROOT, export, git
+
+
+def emit(root: str) -> None:
+    """The worker: one JSON line per answer, from the code under `root`."""
+    from workloads import WORKLOADS
+
+    with open(os.path.join(root, "perfbench", "expected.json"), encoding="utf-8") as fh:
+        pools = json.load(fh)
+    with tempfile.TemporaryDirectory(prefix="same_answers_") as workdir:
+        for name, workload in WORKLOADS.items():
+            key = "expect" if name != "cli-mixed" else "ops"
+            for index, entry in enumerate(pools[name]):
+                for alpha in sorted(entry[key]):
+                    ops = workload.prepare(dict(entry, alpha=alpha), index, workdir)
+                    for op in ops:
+                        result = op.call()
+                        op.check(result)  # writes a solve's output for the next check
+                        if name == "cli-mixed":
+                            answer = list(result[:2])
+                        else:
+                            answer = [sorted(result.edges), result.objective, result.mcps_star]
+                        print(json.dumps([name, op.label, alpha, answer]), flush=True)
+
+
+def answers(root: str) -> subprocess.Popen:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(root, "src"), os.path.join(root, "perfbench")]))
+    return subprocess.Popen([sys.executable, os.path.abspath(__file__), "--emit", root],
+                            cwd=root, env=env, stdout=subprocess.PIPE, text=True)
+
+
+def first_difference(base: list[str], change: list[str]) -> str | None:
+    for b, c in zip(base, change):
+        if b != c:
+            (name, label, alpha, want), got = json.loads(b), json.loads(c)[3]
+            if name == "cli-mixed":
+                return f"{name} {label} at {alpha}: base (exit, stdout) {want!r}, change {got!r}"
+            diff = sorted(set(want[0]) ^ set(got[0]))
+            edge = f"edge {diff[0]} is kept by one side only; " if diff else ""
+            return (f"{name} {label} at {alpha}: {edge}base (objective, mcps_star) "
+                    f"{tuple(want[1:])}, change {tuple(got[1:])}")
+    if len(base) != len(change):
+        return f"base gave {len(base)} answers, change {len(change)}"
+    return None
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", default="HEAD", help="revision to compare against")
+    parser.add_argument("--emit", metavar="ROOT", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.emit:
+        emit(args.emit)
+        return 0
+    try:
+        git("rev-parse", args.base)
+    except subprocess.CalledProcessError:
+        print(f"error: cannot resolve {args.base!r}", file=sys.stderr)
+        return 2
+    tmp = tempfile.mkdtemp(prefix="same_answers_")
+    try:
+        base_root = os.path.join(tmp, "base")
+        export(args.base, base_root)
+        procs = {"base": answers(base_root), "change": answers(ROOT)}
+        lines = {side: proc.communicate()[0].splitlines() for side, proc in procs.items()}
+        failed = [side for side, proc in procs.items() if proc.returncode]
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    if failed:
+        print(f"error: the {' and '.join(failed)} worker failed", file=sys.stderr)
+        return 2
+    diff = first_difference(lines["base"], lines["change"])
+    if diff is not None:
+        print(diff)
+        return 1
+    print(f"{len(lines['change'])} answers identical to {args.base}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
