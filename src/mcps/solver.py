@@ -51,8 +51,8 @@ def solve_lsp(graph: DirectedGraph, alpha: RetentionRatio) -> Solution:
     reduction's (`_dag_core`, left unmutated), whose routes left, the core,
     each lie in one block; on a cyclic graph one bare leaf per edge, each
     its own route. A block whose defining edge (u, v) has core routes out of
-    u and into v is the union of the core's P(u, v) (see `_dag_eas_sets`);
-    two or more such routes are contracted further, down to the one route
+    u and into v holds the edges of the routes in the core's P(u, v) (see
+    `_dag_eas_sets`); two or more are contracted further, down to the route
     (u, v), whose P node gains them after the defining edge's leaf as a
     reduction of the block alone would, up to how S nodes nest. Any other
     block lies in one route. One `_fold` over the routes left then decides
