@@ -19,7 +19,7 @@ from typing import Optional
 from . import oracle, solver
 from .errors import BudgetExceededError, McpsError, NotDspError, NotLspError
 from .flow import RetentionRatio, check_all_pairs, max_flow_value
-from .graphs import DirectedGraph, EdgeSet, parse_edge_list, to_dot, to_edge_list
+from .graphs import DirectedGraph, EdgeSet, ascii_int, parse_edge_list, to_dot, to_edge_list
 from .lsp import is_lsp
 from .spdecomp import recognize_dsp
 
@@ -173,7 +173,7 @@ def _parse_sets(text: str) -> tuple[frozenset[int], ...]:
         chunk = chunk.strip()
         if not chunk:
             raise ValueError("empty set in --sets")
-        sets.append(frozenset(int(x) for x in chunk.split(",")))
+        sets.append(frozenset(ascii_int(x.strip()) for x in chunk.split(",")))
     return tuple(sets)
 
 
@@ -217,7 +217,7 @@ def _cmd_gen(args) -> int:
         _write_generated(args, graph, dict(graph.meta))
     elif args.generator == "lsp":
         try:
-            lo, hi = (int(x) for x in args.block_edges.split(","))
+            lo, hi = (ascii_int(x.strip()) for x in args.block_edges.split(","))
         except ValueError:
             raise ValueError(f"--block-edges LO,HI: expected two integers, "
                              f"got {args.block_edges!r}") from None
@@ -262,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--alpha", required=True, help="retention ratio p/q")
     p_solve.add_argument("--mode", choices=["auto", "dsp", "lsp", "oracle"], default="auto")
     p_solve.add_argument("--dot", help="write DOT with the solution highlighted")
-    p_solve.add_argument("--oracle-budget", type=int, default=oracle.DEFAULT_EDGE_BUDGET)
+    p_solve.add_argument("--oracle-budget", type=ascii_int, default=oracle.DEFAULT_EDGE_BUDGET)
     p_solve.set_defaults(func=_cmd_solve)
 
     p_rec = sub.add_parser("recognize", help="classify the input graph")
@@ -277,7 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--alpha", required=True)
     p_check.add_argument("--against-oracle", action="store_true",
                          help="also compare against the brute-force optimum")
-    p_check.add_argument("--oracle-budget", type=int, default=oracle.DEFAULT_EDGE_BUDGET)
+    p_check.add_argument("--oracle-budget", type=ascii_int, default=oracle.DEFAULT_EDGE_BUDGET)
     p_check.set_defaults(func=_cmd_check)
 
     p_med = sub.add_parser("med", help="minimum equivalent digraph (LSP inputs)")
@@ -292,18 +292,18 @@ def _build_parser() -> argparse.ArgumentParser:
     gen_sub = p_gen.add_subparsers(dest="generator", required=True)
 
     g_sc = gen_sub.add_parser("setcover", help="hardness-construction instance")
-    g_sc.add_argument("--universe", type=int, required=True)
+    g_sc.add_argument("--universe", type=ascii_int, required=True)
     g_sc.add_argument("--sets", required=True,
                       help="semicolon-separated sets of comma-separated item ids")
-    g_sc.add_argument("--p", type=int, default=1)
+    g_sc.add_argument("--p", type=ascii_int, default=1)
 
     g_dsp = gen_sub.add_parser("dsp", help="random series-parallel digraph")
-    g_dsp.add_argument("--seed", type=int, required=True)
-    g_dsp.add_argument("--edges", type=int, required=True)
+    g_dsp.add_argument("--seed", type=ascii_int, required=True)
+    g_dsp.add_argument("--edges", type=ascii_int, required=True)
 
     g_lsp = gen_sub.add_parser("lsp", help="random laminar series-parallel graph")
-    g_lsp.add_argument("--seed", type=int, required=True)
-    g_lsp.add_argument("--blocks", type=int, default=4)
+    g_lsp.add_argument("--seed", type=ascii_int, required=True)
+    g_lsp.add_argument("--blocks", type=ascii_int, default=4)
     g_lsp.add_argument("--block-edges", default="2,8", help="LO,HI block edge counts")
     g_lsp.add_argument("--cyclic-prob", type=float, default=0.25)
     g_lsp.add_argument("--bipartite-prob", type=float, default=0.2)

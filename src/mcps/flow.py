@@ -21,14 +21,11 @@ such pairs from one BFS (`_bfs`) per source, with no capacity copy or flow.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .graphs import DirectedGraph, _as_sorted_indices
-
-_RATIO_RE = re.compile(r"^(\d+)/(\d+)$")
+from .graphs import DirectedGraph, _as_sorted_indices, ascii_int
 
 
 class RetentionRatio(Fraction):
@@ -48,10 +45,12 @@ class RetentionRatio(Fraction):
 
     @classmethod
     def parse(cls, text: str) -> "RetentionRatio":
-        m = _RATIO_RE.match(text.strip())
-        if not m:
-            raise ValueError(f"retention ratio must look like 'p/q', got {text!r}")
-        return cls(int(m.group(1)), int(m.group(2)))
+        p, _, q = text.strip().partition("/")
+        try:
+            p, q = ascii_int(p), ascii_int(q)
+        except ValueError:
+            raise ValueError(f"retention ratio must look like 'p/q', got {text!r}") from None
+        return cls(p, q)
 
     def required(self, capacity: int) -> int:
         """ceil(alpha * capacity), exactly."""

@@ -307,10 +307,20 @@ def _as_sorted_indices(edge_set, m: int) -> list[int]:
     return EdgeSet(edge_set, m).sorted()
 
 
+def ascii_int(text: str) -> int:
+    """An integer in the one form every number the CLI reads takes, ASCII
+    `-?[0-9]+`; raises ValueError where int() would also read "1_0", "+1",
+    " 1" or non-ASCII digits."""
+    if text.isdigit() and text.isascii() or (
+            text[:1] == "-" and text[1:].isdigit() and text.isascii()):
+        return int(text)
+    raise ValueError(f"not an integer (-?[0-9]+): {text!r}")
+
+
 def parse_edge_list(text: str) -> DirectedGraph:
     """Parse the edge-list format: header "n m", then m lines "tail head".
 
-    Lines starting with '#' are ignored. Fields are ASCII decimal integers.
+    Lines starting with '#' are ignored. Fields are integers (`ascii_int`).
     Errors name the offending 1-based line of the original text. A header
     declaring more than MAX_HEADER_VERTICES vertices is rejected on its own
     line. The edges themselves are checked by the DirectedGraph constructor,
@@ -321,20 +331,16 @@ def parse_edge_list(text: str) -> DirectedGraph:
     edges: list[tuple[int, int]] = []
     edge_lines: list[int] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
             continue
-        parts = line.split()
         if len(parts) != 2:
             raise EdgeListParseError(line_no, f"expected two fields, got {len(parts)}")
-        # int() alone would also read "1_0", "+1" and non-ASCII digits
         x, y = parts
         try:
-            if "_" in line or "+" in line or not (x.isascii() and y.isascii()):
-                raise ValueError
-            a, b = int(x), int(y)
+            a, b = ascii_int(x), ascii_int(y)
         except ValueError:
-            raise EdgeListParseError(line_no, f"non-integer field in {line!r}") from None
+            raise EdgeListParseError(line_no, f"non-integer field in {raw.strip()!r}") from None
         if header is None:
             if a < 0 or b < 0:
                 raise EdgeListParseError(line_no, "negative count in header")

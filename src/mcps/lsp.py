@@ -8,9 +8,9 @@ as an edge bitmask. On DAGs edge (x, y) lies on a simple s-t path iff s
 reaches x and y reaches t, so P(s, t) is `from_mask[s] & to_mask[t]` over
 per-vertex closure masks built in O(m) big-integer operations. The masks
 take n * m bits, so above _MASK_LIMIT_BITS a query raises
-BudgetExceededError; P1, P2, the EAS family and the MEAS blocks of a DAG
-query only the routes left by one reduction of the whole graph
-(`_dag_core`), and P1 asks only about pairs in one block of the graph it reads.
+BudgetExceededError; P1, P2, the EAS family, the MEAS blocks and the LSP
+solver query only the routes of `_core` (on a DAG, those left by one
+reduction of the whole graph), and P1 only pairs inside one of its blocks.
 Deciding whether an edge lies on a simple s-t path is NP-hard on general
 digraphs, so on cyclic graphs the table walks every simple path from s once,
 under a hard step budget of DEFAULT_PATH_BUDGET * (n - 1) path prefixes per
@@ -24,7 +24,7 @@ from typing import Optional
 
 from .errors import BudgetExceededError, NotLspError
 from .graphs import DirectedGraph, EdgeSet
-from .spdecomp import (NodeStore, _dsp_root, _leaf_edges, _reduce, _reduce_graph,
+from .spdecomp import (NodeStore, _dsp_root, _leaf_edges, _leaves, _reduce, _reduce_graph,
                        _terminal_edge_leaves)
 
 DEFAULT_PATH_BUDGET = 2_000_000
@@ -159,14 +159,64 @@ def path_induced(graph: DirectedGraph, u: int, v: int) -> frozenset[int]:
     return frozenset(_iter_bits(reach & row[v]))
 
 
+def _core(graph: DirectedGraph) -> tuple[NodeStore, list, DirectedGraph, list[list[int]]]:
+    """The routes the LSP steps read, cached on the graph: a node store
+    whose leaf i is edge i, the routes as (tail, head, node id), the core (a
+    graph on the host's vertices whose edge r is route r) and each route's
+    edges. On a cyclic graph, where reachability does not decide P(s, t),
+    every edge is its own route, a bare leaf, and the core is the graph.
+
+    On a DAG they are the routes left by its one reduction (`_reduce_graph`,
+    shared with `recognize_dsp`); BudgetExceededError is raised if they are
+    over the cap. For s and t left in the core, an edge lies in P(s, t) iff s reaches
+    its tail and its head reaches t, so a route's edges all lie in P(s, t) or
+    all miss it: parallel routes join the same vertices, and a contracted
+    vertex (in = out = 1, so neither s nor t) is reached from s iff its
+    predecessor is and reaches t iff its successor does. So each step of the
+    reduction is one of P(s, t)'s own or misses it, P(s, t) is the edges of
+    the routes in the core's own P(s, t) (`_pair_row`), and by confluence
+    (see `spdecomp`) reducing those routes ends as reducing P(s, t) would.
+    """
+    if "core" not in graph._cache:
+        if graph.is_acyclic():
+            nodes, routes = _reduce_graph(graph)
+            if len(routes) < graph.m and graph.n * len(routes) > _MASK_LIMIT_BITS:
+                raise BudgetExceededError(
+                    f"graph too large for exact path-set computation (the reduced core's "
+                    f"n*m = {graph.n * len(routes)} exceeds the closure-mask cap; "
+                    f"the input's n*m is {graph.n * graph.m})")
+            core = DirectedGraph(graph.n, [(x, y) for x, y, _ in routes])
+            route_edges = [_leaf_edges(nodes, i) for _, _, i in routes]
+        else:
+            edges = graph.edges
+            nodes = _leaves(list(range(graph.m)), [u for u, _ in edges], [v for _, v in edges])
+            routes = [(u, v, i) for i, (u, v) in enumerate(edges)]
+            core, route_edges = graph, [[e] for e in range(graph.m)]
+        graph._cache["core"] = nodes, routes, core, route_edges
+    return graph._cache["core"]
+
+
 def eas_family(graph: DirectedGraph) -> tuple[frozenset[int], ...]:
     """Each edge's EAS set P(u, v), indexed by edge, so that its mu-value
-    is `len(eas_family(graph)[e])`: on a DAG from its shared reduction
-    (`_dag_eas_sets`), on a cyclic graph from row u of the path table."""
+    is `len(eas_family(graph)[e])`.
+
+    Take e = (u, v). If u and v are both left in the core, P(u, v) is the
+    edges of the routes in the core's own P(u, v) (see `_core`). Otherwise
+    the graph is a DAG and u or v was contracted, and the route on (u, v)
+    holding e was then its only route out of u or into v; every u-v path
+    stays inside that route and every edge of it lies on one, so P(u, v) is
+    its edges: the leaves of the P node whose first child is e, or e alone.
+    """
     if "eas_family" not in graph._cache:
-        graph._cache["eas_family"] = (
-            _dag_eas_sets(graph) if graph.is_acyclic() else
-            tuple(path_induced(graph, u, v) for u, v in graph.edges))
+        nodes, _, core, route_edges = _core(graph)
+        sets = [frozenset((e,)) for e in range(graph.m)]
+        for e, leaves in _terminal_edge_leaves(nodes):
+            sets[e] = frozenset(leaves)
+        for e, (u, v) in enumerate(graph.edges):
+            if core.out_degree(u) and core.in_degree(v):
+                reach, row = _pair_row(core, u)
+                sets[e] = frozenset(x for r in _iter_bits(reach & row[v]) for x in route_edges[r])
+        graph._cache["eas_family"] = tuple(sets)
     return graph._cache["eas_family"]
 
 
@@ -219,48 +269,6 @@ def _is_dsp_with_terminals(graph: DirectedGraph, edge_indices, s: int, t: int) -
     return _dsp_root(_reduce((i, *edges[i]) for i in edge_indices)[1], s, t) is not None
 
 
-def _dag_core(graph: DirectedGraph) -> tuple[NodeStore, list, DirectedGraph]:
-    """The one series-parallel reduction of a DAG (`_reduce_graph`, shared
-    with `recognize_dsp`), cached on the graph: its node store (leaf i is
-    edge i), the routes left (the core) as (tail, head, node id), and the
-    core as a graph on the host's vertices whose edge r is route r. Raises
-    BudgetExceededError if the core is over the cap."""
-    if "dag_core" in graph._cache:
-        return graph._cache["dag_core"]
-    nodes, core = _reduce_graph(graph)
-    if len(core) < graph.m and graph.n * len(core) > _MASK_LIMIT_BITS:
-        raise BudgetExceededError(
-            f"graph too large for exact path-set computation (the reduced core's "
-            f"n*m = {graph.n * len(core)} exceeds the closure-mask cap; "
-            f"the input's n*m is {graph.n * graph.m})")
-    core_graph = DirectedGraph(graph.n, [(x, y) for x, y, _ in core])
-    graph._cache["dag_core"] = result = (nodes, core, core_graph)
-    return result
-
-
-def _dag_eas_sets(graph: DirectedGraph) -> tuple[frozenset[int], ...]:
-    """Each edge's EAS set on a DAG, from the shared reduction (`_dag_core`).
-
-    Take e = (u, v). If u and v are both left in the core, P(u, v) is the
-    union of the core routes in the core's own P(u, v), by the argument in
-    `check_p1`'s docstring. Otherwise u or v was contracted, and the
-    route on (u, v) holding e was then its only route out of u or into v;
-    every u-v path stays inside that route and every edge of it lies on one,
-    so P(u, v) is its edges: the leaves of the P node whose first child is
-    e, or e alone.
-    """
-    nodes, core, core_graph = _dag_core(graph)
-    sets = [frozenset((e,)) for e in range(graph.m)]
-    for e, leaves in _terminal_edge_leaves(nodes):
-        sets[e] = frozenset(leaves)
-    route_leaves = [_leaf_edges(nodes, i) for _, _, i in core]
-    for e, (u, v) in enumerate(graph.edges):
-        if core_graph.out_degree(u) and core_graph.in_degree(v):
-            routes = path_induced(core_graph, u, v)
-            sets[e] = frozenset(x for r in routes for x in route_leaves[r])
-    return tuple(sets)
-
-
 def check_p1(graph: DirectedGraph) -> Optional[tuple[int, int]]:
     """None when every pair's path-induced subgraph P(s, t) is empty or a
     DSP on (s, t), else the first failing candidate (s, t) in id order, each
@@ -272,21 +280,15 @@ def check_p1(graph: DirectedGraph) -> Optional[tuple[int, int]]:
     passes the cut vertices c1, ..., ck between them in order while any
     in-block paths s-c1, ..., ck-t join into one, so P(s, t) is empty or the
     series composition of P(s, c1), ..., P(ck, t), a DSP iff each of them
-    is. On a cyclic graph the host is the graph and a block's candidates are
-    its edges' tails x heads; on a DAG, the block's own sources x sinks, as
-    a source a of the block reaching s and a sink b reached from t extend
-    every s-t path to a simple a-b path: P(s, t) is P(a, b)'s pair subgraph.
+    is. On a cyclic graph a block's candidates are its edges' tails x heads;
+    on a DAG, the block's own sources x sinks, as a source a of the block
+    reaching s and a sink b reached from t extend every s-t path to a simple
+    a-b path: P(s, t) is P(a, b)'s pair subgraph.
 
-    On a DAG the host is the core left by one reduction of the whole DAG
-    (`_dag_core`), which keeps the DAG's sources and sinks, so its pairs
-    decide all pairs. For s and t left in the core, a route's edges all lie
-    in P(s, t) or all miss it (s reaches the tail, the head reaches t):
-    parallel routes join the same vertices, and a contracted vertex (in =
-    out = 1, so neither s nor t) is reached from s iff its predecessor is
-    and reaches t iff its successor does. So each step of the shared
-    reduction is one of P(s, t)'s own or misses it, the core routes in
-    P(s, t) are the core's own P(s, t) (`_pair_row`), and by confluence (see
-    `spdecomp`) reducing them ends as reducing P(s, t) would.
+    The host is the core (`_core`): the graph itself when it is cyclic; on a
+    DAG the routes left by one reduction of the whole DAG, which keeps the
+    DAG's sources and sinks, so its pairs decide all pairs, and reducing a
+    core pair's routes decides the pair.
 
     Per source, P(s, t) are taken largest first, and one inside an already
     recognized DSP D = P(s, t') passes unreduced, cyclic or not: each edge
@@ -294,7 +296,7 @@ def check_p1(graph: DirectedGraph) -> Optional[tuple[int, int]]:
     P_D(s, t), a DSP like every pair subgraph of a DSP.
     """
     acyclic = graph.is_acyclic()
-    host = _dag_core(graph)[2] if acyclic else graph
+    host = _core(graph)[2]
     targets: dict[int, set[int]] = {}
     for block in host.blocks():
         if len(block) > 1:

@@ -13,9 +13,9 @@ from . import oracle
 from .errors import McpsError, NotDspError
 from .flow import RetentionRatio, check_all_pairs
 from .graphs import DirectedGraph, EdgeSet
-from .lsp import _dag_core, _iter_bits, _meas_blocks, _pair_row, eas_family, is_lsp
+from .lsp import _core, _meas_blocks, eas_family, is_lsp
 from .solution import Solution
-from .spdecomp import NodeStore, _contract, _dsp_root, _fold, _leaves, recognize_dsp
+from .spdecomp import NodeStore, _contract, _dsp_root, _fold, recognize_dsp
 
 
 def solve_dsp(graph: DirectedGraph, alpha: RetentionRatio) -> Solution:
@@ -47,39 +47,29 @@ def solve_lsp(graph: DirectedGraph, alpha: RetentionRatio) -> Solution:
     are independent: the optimum is the union of the DSP optima of the
     blocks, and the MED size is the sum of theirs.
 
-    All blocks are solved in one node store: on a DAG a copy of the shared
-    reduction's (`_dag_core`, left unmutated), whose routes left, the core,
-    each lie in one block; on a cyclic graph one bare leaf per edge, each
-    its own route. A block whose defining edge (u, v) has core routes out of
-    u and into v holds the edges of the routes in the core's P(u, v) (see
-    `_dag_eas_sets`); two or more are contracted further, down to the route
-    (u, v), whose P node gains them after the defining edge's leaf as a
-    reduction of the block alone would, up to how S nodes nest. Any other
-    block lies in one route. One `_fold` over the routes left then decides
-    every block, as the fold's S min is associative.
+    All blocks are solved in one node store, a copy of the shared one
+    (`_core`, left unmutated), whose routes each lie in one block: a block's
+    routes are its edges' routes. Two or more are contracted further, down
+    to the route of the defining edge (u, v), whose P node gains them after
+    the defining edge's leaf as a reduction of the block alone would, up to
+    how S nodes nest. One `_fold` over the routes left then decides every
+    block, as the fold's S min is associative.
 
     Raises NotLspError (carrying the verdict) on non-LSP input.
     """
     blocks = _meas_blocks(graph)
-    edges = graph.edges
-    if graph.is_acyclic():
-        base, core, host = _dag_core(graph)
-    else:
-        base = _leaves(list(range(graph.m)), [u for u, _ in edges], [v for _, v in edges])
-        core, host = [(u, v, i) for i, (u, v) in enumerate(edges)], graph
+    base, routes, _, route_edges = _core(graph)
+    route_of = {e: r for r, edges in enumerate(route_edges) for e in edges}
     nodes = NodeStore._make(col[:] for col in base)
-    roots = [i for _, _, i in core]  # each core route's tree, or its block's once contracted
+    roots = [i for _, _, i in routes]  # each route's tree, or its block's once contracted
     for defining, block in blocks:
-        u, v = edges[defining]
-        if len(block) == 1 or not (host.out_degree(u) and host.in_degree(v)):
-            continue
-        reach, row = _pair_row(host, u)
-        routes = reach & row[v]
-        if routes & (routes - 1):
-            routes = list(_iter_bits(routes))
-            root = _dsp_root(_contract(nodes, [(roots[r], *core[r][:2]) for r in routes]), u, v)
+        block_routes = sorted({route_of[e] for e in block})
+        if len(block_routes) > 1:
+            u, v = graph.edges[defining]
+            left = _contract(nodes, [(roots[r], *routes[r][:2]) for r in block_routes])
+            root = _dsp_root(left, u, v)
             assert root is not None, f"LSP block of edge {defining} is not a DSP on its endpoints"
-            for r in routes:
+            for r in block_routes:
                 roots[r] = root
     _, kept, med_size = _fold(nodes, set(roots), alpha)
     return Solution(edges=EdgeSet(kept, graph.m), algorithm="lsp", alpha=alpha,

@@ -31,15 +31,16 @@ eligible vertices in either order leaves the same routes. Every order of
 steps therefore ends in the same routes.
 
 No cycle search runs before the reduction. A series step turns a cycle
-through the contracted vertex into a shorter cycle (a self-loop at worst),
-and a parallel merge keeps a route between the merged pair, so no step
-removes a cycle; and the source s and the sink t lie on none. A reduction
-that ends in the single route (s, t) therefore proves the input acyclic, and
-the cycle search runs only to say why a graph is rejected. The same loop
-decides the path-induced subgraphs of the P1 check, and the LSP solver runs
-it on the routes of each MEAS block in a copy of a DAG's shared store, so
-the blocks continue that reduction and one fold covers them all; none of
-this builds a graph or a tree object.
+through the contracted vertex into a shorter one, but never a 2-cycle into a
+self-loop, and a parallel merge keeps a route between the merged pair, so no
+step removes a cycle or leaves it one route; and the source s and the sink t
+lie on none. A reduction that ends in a single route (s, t) therefore proves
+the input acyclic, and the cycle search runs only to say why a graph is
+rejected. The same loop decides the path-induced subgraphs of the P1
+check, and the LSP solver runs it on the routes of each MEAS block in a copy
+of the LSP steps' shared store (`lsp._core`), so the blocks continue that
+reduction and one fold covers them all; none of this builds a graph or a
+tree object.
 """
 
 from __future__ import annotations
@@ -285,15 +286,15 @@ def _contract(nodes: NodeStore, routes: Iterable[tuple[int, int, int]]
     creation order; returns the routes left when no step applies, as (tail,
     head, node id).
 
-    A series step contracts a vertex with in- and out-degree 1, and a
-    parallel merge joins a new route to the route with its tail and head;
-    sources and sinks of the routes are never contracted (see the module
-    docstring). Contraction picks the lowest eligible vertex id first. A
-    merge links the newer route after the last child of the older route's
-    P node, made on the first merge unless the older route's node is a P
-    node already, so a route's P node keeps its first child. The result is
-    deterministic; by confluence the routes left, though not the tree, are
-    the same in any order on acyclic inputs.
+    A series step contracts a vertex with one route in and one out, from and
+    to two distinct vertices, and a parallel merge joins a new route to the
+    route with its tail and head; sources and sinks of the routes are never
+    contracted (see the module docstring). Contraction picks the lowest
+    eligible vertex id first. A merge links the newer route after the last
+    child of the older route's P node, made on the first merge unless the
+    older route's node is a P node already, so a route's P node keeps its
+    first child. The result is deterministic; by confluence the routes left,
+    though not the tree, are the same in any order on acyclic inputs.
     """
     kind, s, t, first, second, sibling = (
         nodes.kind, nodes.s, nodes.t, nodes.first, nodes.second, nodes.sibling)
@@ -313,6 +314,8 @@ def _contract(nodes: NodeStore, routes: Iterable[tuple[int, int, int]]
             continue
         (x, a), = pred.items()
         (y, b), = succ.items()
+        if x == y:  # a 2-cycle x <-> v, which a step would turn into the self-loop (x, x)
+            continue
         outx, inny = out[x], inn[y]
         del outx[v]
         del inny[v]
@@ -389,19 +392,18 @@ def recognize_dsp(graph: DirectedGraph) -> DecompositionTree:
     """Decompose a two-terminal series-parallel digraph, or raise NotDspError.
 
     The tree is deterministic (see `_contract`). The graph is a DSP on
-    (s, t) iff its reduction leaves the one route (s, t) with s != t after
-    n - 2 series steps: a contracted vertex has an edge in and one out, and
-    a route into s or out of t would outlast every step, so s is the only
-    source, t the only sink and no vertex is isolated; the reduction proves
-    such a graph acyclic (see the module docstring). A rejection reports
+    (s, t) iff its reduction leaves the one route (s, t) after n - 2 series
+    steps: a contracted vertex has an edge in and one out, and a route into
+    s or out of t would outlast every step, so s is the only source, t the
+    only sink and no vertex is isolated; the reduction proves such a graph
+    acyclic (see the module docstring). A rejection reports
     the first reason that applies, in the order: no edges, a cycle
     (`find_cycle`'s), several sources, several sinks, then a W-subdivision.
     """
     if graph.m == 0:
         raise NotDspError(NotDspWitness("no-edges"))
     nodes, remaining = _reduce_graph(graph)
-    if (len(remaining) == 1 and remaining[0][0] != remaining[0][1]
-            and nodes.kind.count(SERIES) == graph.n - 2):
+    if len(remaining) == 1 and nodes.kind.count(SERIES) == graph.n - 2:
         return DecompositionTree(graph, nodes, remaining[0][2])
     srcs = graph.sources()
     snks = graph.sinks()

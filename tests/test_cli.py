@@ -351,6 +351,27 @@ def test_usage_errors_exit_2(capsys, w_file):
     assert err == "error: argument --cyclic-prob: invalid float value: 'x'\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--alpha", "\u0661/\u0662"],
+    ["solve", "--alpha", "1/2", "--oracle-budget", "+1_6"],
+    ["solve", "--alpha", "1/2", "--oracle-budget", "\u0661\u0666"],
+    ["gen", "setcover", "--universe", "2", "--sets", "0,1;\u0661"],
+    ["gen", "setcover", "--universe", "2", "--sets", "0,1;+1"],
+    ["gen", "setcover", "--universe", "2", "--sets", "0,1", "--p", "+1"],
+    ["gen", "lsp", "--seed", "1", "--block-edges", "2,1_0"],
+    ["gen", "lsp", "--seed", "1", "--blocks", "\u0662"],
+    ["gen", "dsp", "--seed", "\u0661", "--edges", "3"],
+    ["gen", "dsp", "--seed", "1", "--edges", "1_0"],
+])
+def test_every_number_read_from_the_command_line_is_ascii_decimal(capsys, w_file, argv):
+    # the edge list's rule (-?[0-9]+); int() alone reads each of these
+    if argv[0] == "solve":
+        argv = [argv[0], "--input", w_file, *argv[1:]]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_help_still_prints_usage_and_exits_0(capsys):
     code, out, err = run(capsys, "--help")
     assert (code, err) == (0, "")

@@ -29,7 +29,7 @@ def test_ratio_validation():
 
 def test_ratio_parse():
     assert RetentionRatio.parse("3/4") == RetentionRatio(3, 4)
-    for bad in ["1", "1/2/3", "0.5", "1 / 2", "2/2"]:
+    for bad in ["1", "1/2/3", "0.5", "1 / 2", "2/2", "\u0661/\u0662", "1_0/20", "+1/2", "-1/2"]:
         with pytest.raises(ValueError):
             RetentionRatio.parse(bad)
 

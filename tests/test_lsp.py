@@ -168,9 +168,10 @@ def _check_p1_naive(g):
 
 def _p1_candidates(g):
     """check_p1's stated candidates in id order: in each block with two or more
-    edges of the graph it reads (the reduced core on a DAG), the block's own
-    sources x its own sinks on a DAG, its edges' tails x heads otherwise."""
-    host = lsp_mod._dag_core(g)[2] if g.is_acyclic() else g
+    edges of the core it reads (`_core`: the reduced core on a DAG, the graph
+    otherwise), the block's own sources x its own sinks on a DAG, its edges'
+    tails x heads otherwise."""
+    host = lsp_mod._core(g)[2]
     pairs = set()
     for block in (block for block in host.blocks() if len(block) > 1):
         tails = {host.edges[e][0] for e in block}
@@ -251,7 +252,7 @@ def test_check_p1_reduces_at_most_once_per_core_block(seed, monkeypatch):
     real_reduce = lsp_mod._reduce
     monkeypatch.setattr(lsp_mod, "_reduce", counting)
     assert check_p1(g) is None
-    core_blocks = sum(len(block) > 1 for block in lsp_mod._dag_core(g)[2].blocks())
+    core_blocks = sum(len(block) > 1 for block in lsp_mod._core(g)[2].blocks())
     assert len(calls) <= core_blocks
 
 
@@ -350,7 +351,7 @@ def test_check_p1_reduces_a_dag_once_then_only_core_routes(monkeypatch):
             assert all(size <= core for size, _ in later), (core, later)
             assert all(m is not host and m.m == core for m in masked)
             if run is check_p1:  # P1 reads masks only for a block of two or more routes
-                core_blocks = lsp_mod._dag_core(host)[2].blocks()
+                core_blocks = lsp_mod._core(host)[2].blocks()
                 assert bool(masked) == any(len(block) > 1 for block in core_blocks)
             checked += bool(later)
     assert checked  # some graph needed per-pair reductions on its core
@@ -386,7 +387,7 @@ def test_dag_over_the_mask_cap_answers_when_its_core_fits(g, monkeypatch, tmp_pa
     (tmp_path / "g.el").write_text(to_edge_list(g))
     before = _fresh_answers(g, path, capsys)
     assert before[0].is_lsp and all(code == 0 for code, _, _ in before[4:])
-    core = len(lsp_mod._dag_core(DirectedGraph(g.n, g.edges))[1])
+    core = len(lsp_mod._core(DirectedGraph(g.n, g.edges))[1])
     assert core < g.m
     monkeypatch.setattr(lsp_mod, "_MASK_LIMIT_BITS", g.n * core)
     assert _fresh_answers(g, path, capsys) == before
@@ -599,15 +600,12 @@ def test_each_meas_block_has_one_defining_edge_and_solve_lsp_reduces_on_it(
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mcps.solver, "_contract", recording)
         solve_lsp(g, RetentionRatio(1, 2))
-    # a block's routes are the routes of the shared reduction (bare edges
-    # on a cyclic graph) whose edges all lie in it; every block of two or
-    # more routes is contracted, in block order, from exactly its routes
-    # down to the route of its defining edge, and no other block is
-    if g.is_acyclic():
-        nodes, core, _ = lsp_mod._dag_core(g)
-        routes = [(i, set(_leaf_edges(nodes, i))) for _, _, i in core]
-    else:
-        routes = [(e, {e}) for e in range(g.m)]
+    # a block's routes are the routes of `_core` (bare edges on a cyclic
+    # graph) whose edges all lie in it; every block of two or more routes is
+    # contracted, in block order, from exactly its routes down to the route
+    # of its defining edge, and no other block is
+    _, core, _, route_edges = lsp_mod._core(g)
+    routes = [(i, set(edges)) for (_, _, i), edges in zip(core, route_edges)]
     in_block = [sorted(i for i, leaves in routes if leaves <= block) for block in parts]
     multi = [k for k, block_routes in enumerate(in_block) if len(block_routes) > 1]
     assert contracted == [in_block[k] for k in multi]
@@ -745,6 +743,23 @@ def test_p1_alone_over_the_mask_cap_raises_when_the_core_shrank(monkeypatch):
     assert check_p1(fan) is None
     with pytest.raises(BudgetExceededError, match=f"^{_OVER_CAP_PREFIX}24 "):
         is_lsp(fan)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(digraphs(max_n=7, max_m=12), lsp_graphs(max_blocks=4, block_hi=8)))
+def test_core_routes_partition_the_edges(g):
+    # route r joins its node's terminals, its edges are the leaves under
+    # that node, and on a cyclic graph it is edge r, a bare leaf of the graph
+    nodes, routes, core, route_edges = lsp_mod._core(g)
+    assert sorted(e for edges in route_edges for e in edges) == list(range(g.m))
+    assert core.edges == tuple((x, y) for x, y, _ in routes)
+    for (x, y, i), edges in zip(routes, route_edges):
+        assert (nodes.s[i], nodes.t[i]) == (x, y)
+        assert sorted(edges) == sorted(_leaf_edges(nodes, i))
+    if not g.is_acyclic():
+        assert core is g and len(nodes.kind) == g.m
+        assert routes == [(u, v, e) for e, (u, v) in enumerate(g.edges)]
+        assert route_edges == [[e] for e in range(g.m)]
 
 
 def test_core_over_the_mask_cap_names_the_core_and_the_input(monkeypatch, tmp_path, capsys):

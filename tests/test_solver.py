@@ -7,7 +7,7 @@ from mcps import (CoverageReport, DirectedGraph, EdgeSet, LspVerdict, McpsError,
                   NotLspError, RetentionRatio, check_all_pairs, extract_mscs_or_hamiltonian,
                   mcps_star_value, solve, solve_dsp, solve_lsp, solve_med)
 from mcps import eas_family, is_lsp, oracle, solver
-from mcps.lsp import _dag_core
+from mcps.lsp import _core
 from mcps.solution import Solution
 from mcps.generators import (example_reduction_artifact, fixtures, brute_force_set_cover,
                              gen_random_dsp, gen_random_lsp, sc_to_mcps_solution)
@@ -99,11 +99,10 @@ def test_solve_lsp_leaves_the_shared_store_and_eas_family_as_they_were(g):
     g = DirectedGraph(g.n, g.edges)
     assert is_lsp(g).is_lsp
     family = eas_family(g)
-    store = [list(col) for col in _dag_core(g)[0]] if g.is_acyclic() else None
+    store = [list(col) for col in _core(g)[0]]
     _assert_solve_lsp_matches_the_reference(g)
     assert eas_family(g) == family
-    if store is not None:
-        assert [list(col) for col in _dag_core(g)[0]] == store
+    assert [list(col) for col in _core(g)[0]] == store
 
 
 def test_solve_med_examples():

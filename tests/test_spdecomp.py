@@ -5,7 +5,7 @@ from mcps import DirectedGraph, NotDspError, RetentionRatio, max_flow_value, rec
 from mcps.generators import fixtures, gen_random_dsp
 from mcps.lsp import _meas_blocks
 from mcps.spdecomp import (LEAF, PARALLEL, SERIES, DecompositionTree, NodeStore, _dsp_root,
-                           _fold, _reduce)
+                           _fold, _reduce, _reduce_graph)
 
 from path_reference import fold_reference
 from strategies import digraphs, dsp_graphs, lsp_graphs
@@ -326,3 +326,26 @@ def test_near_miss_w_witness_paths_are_pinned(build, paths):
     w = err.value.witness.w
     assert w is not None and w.paths == paths
     w.validate(g)
+
+
+def test_a_two_cycle_is_left_as_two_routes():
+    # contracting 1 would make the route (0, 0) and an S node whose two
+    # children are one node, that node its own sibling
+    nodes, remaining = _reduce([(0, 0, 1), (1, 1, 0)])
+    assert sorted(remaining) == [(0, 1, 0), (1, 0, 1)]
+    assert nodes.kind == [LEAF, LEAF] and nodes.sibling == [-1, -1]
+
+
+@pytest.mark.parametrize("name", sorted(name for name, g in fixtures().items()
+                                        if not g.is_acyclic()))
+def test_reduction_of_a_cyclic_fixture_keeps_every_chain_finite(name):
+    # `recognize` on these fixtures is pinned by tests/test_cli.py's
+    # FIXTURE_STDOUT_SHA256
+    nodes, remaining = _reduce_graph(fixtures()[name])
+    assert all(x != y for x, y, _ in remaining)
+    for i in range(len(nodes.kind)):
+        seen, c = set(), nodes.first[i]
+        while c >= 0:
+            assert c not in seen, f"node {i}'s child chain repeats node {c}"
+            seen.add(c)
+            c = nodes.sibling[c]
