@@ -749,7 +749,8 @@ def test_p1_alone_over_the_mask_cap_raises_when_the_core_shrank(monkeypatch):
 @given(st.one_of(digraphs(max_n=7, max_m=12), lsp_graphs(max_blocks=4, block_hi=8)))
 def test_core_routes_partition_the_edges(g):
     # route r joins its node's terminals, its edges are the leaves under
-    # that node, and on a cyclic graph it is edge r, a bare leaf of the graph
+    # that node, and on a cyclic graph it is edge r, a bare leaf of the
+    # graph; the EAS family read from the routes is the path table's
     nodes, routes, core, route_edges = lsp_mod._core(g)
     assert sorted(e for edges in route_edges for e in edges) == list(range(g.m))
     assert core.edges == tuple((x, y) for x, y, _ in routes)
@@ -760,6 +761,8 @@ def test_core_routes_partition_the_edges(g):
         assert core is g and len(nodes.kind) == g.m
         assert routes == [(u, v, e) for e, (u, v) in enumerate(g.edges)]
         assert route_edges == [[e] for e in range(g.m)]
+    host = DirectedGraph(g.n, g.edges)  # path_induced reads the host's own table
+    assert eas_family(g) == tuple(path_induced(host, u, v) for u, v in g.edges)
 
 
 def test_core_over_the_mask_cap_names_the_core_and_the_input(monkeypatch, tmp_path, capsys):
