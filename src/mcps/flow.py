@@ -23,18 +23,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 from typing import Iterable, Optional
 
 from .graphs import DirectedGraph, _as_sorted_indices, ascii_int
 
 
 class RetentionRatio(Fraction):
-    """An exact retention ratio: a `Fraction` strictly between 0 and 1."""
+    """An exact retention ratio: a `Fraction` of integers, strictly inside (0, 1)."""
 
     __slots__ = ()
 
     def __new__(cls, p: int, q: int):
-        p, q = int(p), int(q)
+        p, q = index(p), index(q)
         if q <= 0 or p <= 0:
             raise ValueError("retention ratio must have positive numerator and denominator")
         self = super().__new__(cls, p, q)

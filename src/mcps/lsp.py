@@ -9,12 +9,13 @@ reaches x and y reaches t, so P(s, t) is `from_mask[s] & to_mask[t]` over
 per-vertex closure masks built in O(m) big-integer operations. The masks
 take n * m bits, so above _MASK_LIMIT_BITS a query raises
 BudgetExceededError; P1, P2, the EAS family, the MEAS blocks and the LSP
-solver query only the routes of `_core` (on a DAG, those left by one
-reduction of the whole graph), and P1 only pairs inside one of its blocks.
-Deciding whether an edge lies on a simple s-t path is NP-hard on general
-digraphs, so on cyclic graphs the table walks every simple path from s once,
-under a hard step budget of DEFAULT_PATH_BUDGET * (n - 1) path prefixes per
-source, and caches each row P(s, *) on the graph.
+solver query only the routes of `_core`, left by one reduction of the whole
+graph, cyclic or not, and P1 only pairs inside one of its blocks. Deciding
+whether an edge lies on a simple s-t path is NP-hard on general digraphs, so
+on cyclic graphs the table walks every simple path from s once, under a hard
+step budget of DEFAULT_PATH_BUDGET * (n - 1) path prefixes per source, and
+caches each row P(s, *): the core's for the LSP steps, the graph's for
+`path_induced`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Optional
 
 from .errors import BudgetExceededError, NotLspError
 from .graphs import DirectedGraph, EdgeSet
-from .spdecomp import (NodeStore, _dsp_root, _leaf_edges, _leaves, _reduce, _reduce_graph,
+from .spdecomp import (NodeStore, _dsp_root, _leaf_edges, _reduce, _reduce_graph,
                        _terminal_edge_leaves)
 
 DEFAULT_PATH_BUDGET = 2_000_000
@@ -160,38 +161,33 @@ def path_induced(graph: DirectedGraph, u: int, v: int) -> frozenset[int]:
 
 
 def _core(graph: DirectedGraph) -> tuple[NodeStore, list, DirectedGraph, list[list[int]]]:
-    """The routes the LSP steps read, cached on the graph: a node store
-    whose leaf i is edge i, the routes as (tail, head, node id), the core (a
+    """The routes the LSP steps read, cached on the graph: the store of the
+    graph's one reduction (`_reduce_graph`, shared with `recognize_dsp`;
+    leaf i is edge i), the routes left as (tail, head, node id), the core (a
     graph on the host's vertices whose edge r is route r) and each route's
-    edges. On a cyclic graph, where reachability does not decide P(s, t),
-    every edge is its own route, a bare leaf, and the core is the graph.
+    edges. BudgetExceededError is raised if a DAG's core is over the mask
+    cap; no step removes a cycle (see `spdecomp`), so a cyclic core reads none.
 
-    On a DAG they are the routes left by its one reduction (`_reduce_graph`,
-    shared with `recognize_dsp`); BudgetExceededError is raised if they are
-    over the cap. For s and t left in the core, an edge lies in P(s, t) iff s reaches
-    its tail and its head reaches t, so a route's edges all lie in P(s, t) or
-    all miss it: parallel routes join the same vertices, and a contracted
-    vertex (in = out = 1, so neither s nor t) is reached from s iff its
-    predecessor is and reaches t iff its successor does. So each step of the
-    reduction is one of P(s, t)'s own or misses it, P(s, t) is the edges of
-    the routes in the core's own P(s, t) (`_pair_row`), and by confluence
-    (see `spdecomp`) reducing those routes ends as reducing P(s, t) would.
+    Each route R = (a, b) is a DSP, a != b, whose interior (contracted)
+    vertices have no edge outside R, so a simple path enters the interior
+    from a and leaves it at b. For s and t left in the core, a simple s-t
+    path is thus a simple path of the core crossing each route on it from
+    tail to head, and every route edge lies on a crossing: P(s, t) is the
+    edges of the routes in the core's own P(s, t) (`_pair_row`), and each
+    reduction step is one of P(s, t)'s own or misses it. If P(s, t) is a DSP
+    it is acyclic, and by confluence (see `spdecomp`) its routes reduce as
+    P(s, t) would, to the one route (s, t); if they do, P(s, t) is a DSP.
     """
     if "core" not in graph._cache:
-        if graph.is_acyclic():
-            nodes, routes = _reduce_graph(graph)
-            if len(routes) < graph.m and graph.n * len(routes) > _MASK_LIMIT_BITS:
-                raise BudgetExceededError(
-                    f"graph too large for exact path-set computation (the reduced core's "
-                    f"n*m = {graph.n * len(routes)} exceeds the closure-mask cap; "
-                    f"the input's n*m is {graph.n * graph.m})")
-            core = DirectedGraph(graph.n, [(x, y) for x, y, _ in routes])
-            route_edges = [_leaf_edges(nodes, i) for _, _, i in routes]
-        else:
-            edges = graph.edges
-            nodes = _leaves(list(range(graph.m)), [u for u, _ in edges], [v for _, v in edges])
-            routes = [(u, v, i) for i, (u, v) in enumerate(edges)]
-            core, route_edges = graph, [[e] for e in range(graph.m)]
+        nodes, routes = _reduce_graph(graph)
+        if (len(routes) < graph.m and graph.n * len(routes) > _MASK_LIMIT_BITS
+                and graph.is_acyclic()):
+            raise BudgetExceededError(
+                f"graph too large for exact path-set computation (the reduced core's "
+                f"n*m = {graph.n * len(routes)} exceeds the closure-mask cap; "
+                f"the input's n*m is {graph.n * graph.m})")
+        core = DirectedGraph(graph.n, [(x, y) for x, y, _ in routes])
+        route_edges = [_leaf_edges(nodes, i) for _, _, i in routes]
         graph._cache["core"] = nodes, routes, core, route_edges
     return graph._cache["core"]
 
@@ -201,11 +197,11 @@ def eas_family(graph: DirectedGraph) -> tuple[frozenset[int], ...]:
     is `len(eas_family(graph)[e])`.
 
     Take e = (u, v). If u and v are both left in the core, P(u, v) is the
-    edges of the routes in the core's own P(u, v) (see `_core`). Otherwise
-    the graph is a DAG and u or v was contracted, and the route on (u, v)
-    holding e was then its only route out of u or into v; every u-v path
-    stays inside that route and every edge of it lies on one, so P(u, v) is
-    its edges: the leaves of the P node whose first child is e, or e alone.
+    edges of the routes in the core's own P(u, v) (see `_core`). Otherwise u
+    or v was contracted, and when the first of them was, the route on (u, v)
+    holding e was its only route out of u or into v; its interior vertices have
+    no other edge, so the u-v paths stay inside it and cover it: P(u, v) is
+    the leaves of the P node whose first child is e, or e alone.
     """
     if "eas_family" not in graph._cache:
         nodes, _, core, route_edges = _core(graph)
@@ -285,23 +281,26 @@ def check_p1(graph: DirectedGraph) -> Optional[tuple[int, int]]:
     reaching s and a sink b reached from t extend every s-t path to a simple
     a-b path: P(s, t) is P(a, b)'s pair subgraph.
 
-    The host is the core (`_core`): the graph itself when it is cyclic; on a
-    DAG the routes left by one reduction of the whole DAG, which keeps the
-    DAG's sources and sinks, so its pairs decide all pairs, and reducing a
-    core pair's routes decides the pair.
+    The host is the core (`_core`), cyclic or not: reducing a core pair's
+    routes decides the pair, and its pairs decide all pairs. A contracted
+    vertex lies inside one route R = (a, b), entered from a and left at b,
+    so for s inside R and t outside, P(s, t) is empty or R's P_R(s, b) in
+    series with P(b, t), and likewise for t inside; for both inside, it is
+    P_R(s, t) if s reaches t in R (a DSP's s-b and a-t paths then meet),
+    else empty or P_R(s, b), P(b, a), P_R(a, t) in series. Pair subgraphs of
+    a DSP are empty or DSPs, so the core pairs in P(s, t) decide it.
 
     Per source, P(s, t) are taken largest first, and one inside an already
     recognized DSP D = P(s, t') passes unreduced, cyclic or not: each edge
     of P(s, t) is on a simple s-t path inside D, so P(s, t) is D's own
     P_D(s, t), a DSP like every pair subgraph of a DSP.
     """
-    acyclic = graph.is_acyclic()
     host = _core(graph)[2]
     targets: dict[int, set[int]] = {}
     for block in host.blocks():
         if len(block) > 1:
             tails, heads = map(set, zip(*(host.edges[e] for e in block)))
-            if acyclic:
+            if host.is_acyclic():
                 tails, heads = tails - heads, heads - tails
             for s in tails:
                 targets.setdefault(s, set()).update(heads)

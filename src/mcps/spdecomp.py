@@ -36,11 +36,11 @@ self-loop, and a parallel merge keeps a route between the merged pair, so no
 step removes a cycle or leaves it one route; and the source s and the sink t
 lie on none. A reduction that ends in a single route (s, t) therefore proves
 the input acyclic, and the cycle search runs only to say why a graph is
-rejected. The same loop decides the path-induced subgraphs of the P1
-check, and the LSP solver runs it on the routes of each MEAS block in a copy
-of the LSP steps' shared store (`lsp._core`), so the blocks continue that
-reduction and one fold covers them all; none of this builds a graph or a
-tree object.
+rejected. On any input, cyclic or not, each route left is a DSP on two
+distinct vertices whose interior vertices have no other edge, so the whole
+graph's reduction is the LSP steps' shared store (`lsp._core`); the loop
+also decides the P1 check's path-induced subgraphs and contracts each MEAS
+block's routes in a copy of that store, so one fold covers every block.
 """
 
 from __future__ import annotations

@@ -25,6 +25,10 @@ def test_ratio_validation():
     for p, q in [(0, 1), (1, 1), (3, 2), (-1, 2), (1, 0)]:
         with pytest.raises(ValueError):
             RetentionRatio(p, q)
+    # p and q are integers, never truncated or parsed
+    for p, q in [(1.9, 3), ("1", "3")]:
+        with pytest.raises(TypeError):
+            RetentionRatio(p, q)
 
 
 def test_ratio_parse():

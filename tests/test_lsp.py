@@ -13,7 +13,7 @@ from mcps import cli, oracle
 import mcps.lsp as lsp_mod
 import mcps.spdecomp as spdecomp_mod
 from mcps.lsp import _is_dsp_with_terminals, _iter_bits, _source_row
-from mcps.spdecomp import _leaf_edges
+from mcps.spdecomp import _leaf_edges, _reduce_graph
 from mcps.generators import fixtures, gen_random_dsp, gen_random_lsp
 
 from path_reference import check_p2_reference, enumerate_simple_path_edges, per_pair_path_induced
@@ -168,9 +168,9 @@ def _check_p1_naive(g):
 
 def _p1_candidates(g):
     """check_p1's stated candidates in id order: in each block with two or more
-    edges of the core it reads (`_core`: the reduced core on a DAG, the graph
-    otherwise), the block's own sources x its own sinks on a DAG, its edges'
-    tails x heads otherwise."""
+    edges of the core it reads (`_core`: the routes left by the shared
+    reduction, cyclic or not), the block's own sources x its own sinks on a
+    DAG, its edges' tails x heads otherwise."""
     host = lsp_mod._core(g)[2]
     pairs = set()
     for block in (block for block in host.blocks() if len(block) > 1):
@@ -292,6 +292,27 @@ def test_check_p1_reduces_a_directed_cycle_once_per_source(k, monkeypatch):
     monkeypatch.setattr(lsp_mod, "_reduce", counting)
     assert check_p1(DirectedGraph(k, [(v, (v + 1) % k) for v in range(k)])) is None
     assert len(calls) <= k
+
+
+def test_check_p1_witness_is_a_core_candidate_on_a_cyclic_graph():
+    # 3 has one edge in and one out, so the shared reduction contracts it
+    # into the route 2 -> 4; P(3, 2) and P(4, 2) both fail, and only (4, 2)
+    # is a candidate of the core
+    g = DirectedGraph(6, [(0, 2), (0, 5), (5, 2), (2, 3), (3, 4), (4, 1), (1, 0), (4, 5)])
+    assert _fails_p1(g, 3, 2) and _fails_p1(g, 4, 2)
+    assert check_p1(g) == (4, 2)
+
+
+@pytest.mark.parametrize("blocks", [40, 80])
+def test_cyclic_lsp_rows_walk_only_the_reduced_core(blocks, monkeypatch):
+    # Each source may walk only n - 1 path prefixes. The core's rows fit that
+    # budget; the whole graph's simple paths, chained through cyclic blocks,
+    # do not.
+    g = gen_random_lsp(1, blocks=blocks, block_edges=(8, 24), cyclic_prob=0.5,
+                       bipartite_prob=0.2, check=False)
+    assert not g.is_acyclic()
+    monkeypatch.setattr(lsp_mod, "DEFAULT_PATH_BUDGET", 1)
+    assert is_lsp(g).is_lsp
 
 
 def test_p2_and_every_block_dsp_do_not_imply_p1():
@@ -600,10 +621,10 @@ def test_each_meas_block_has_one_defining_edge_and_solve_lsp_reduces_on_it(
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mcps.solver, "_contract", recording)
         solve_lsp(g, RetentionRatio(1, 2))
-    # a block's routes are the routes of `_core` (bare edges on a cyclic
-    # graph) whose edges all lie in it; every block of two or more routes is
-    # contracted, in block order, from exactly its routes down to the route
-    # of its defining edge, and no other block is
+    # a block's routes are the routes of `_core` whose edges all lie in it;
+    # every block of two or more routes is contracted, in block order, from
+    # exactly its routes down to the route of its defining edge, and no
+    # other block is
     _, core, _, route_edges = lsp_mod._core(g)
     routes = [(i, set(edges)) for (_, _, i), edges in zip(core, route_edges)]
     in_block = [sorted(i for i, leaves in routes if leaves <= block) for block in parts]
@@ -748,19 +769,17 @@ def test_p1_alone_over_the_mask_cap_raises_when_the_core_shrank(monkeypatch):
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(digraphs(max_n=7, max_m=12), lsp_graphs(max_blocks=4, block_hi=8)))
 def test_core_routes_partition_the_edges(g):
-    # route r joins its node's terminals, its edges are the leaves under
-    # that node, and on a cyclic graph it is edge r, a bare leaf of the
-    # graph; the EAS family read from the routes is the path table's
+    # the routes are those left by the shared reduction on every graph, cyclic
+    # or not; route r joins its node's terminals, its edges are the leaves
+    # under that node, and the EAS family read from the routes is the path
+    # table's
     nodes, routes, core, route_edges = lsp_mod._core(g)
+    assert routes == _reduce_graph(DirectedGraph(g.n, g.edges))[1]
     assert sorted(e for edges in route_edges for e in edges) == list(range(g.m))
     assert core.edges == tuple((x, y) for x, y, _ in routes)
     for (x, y, i), edges in zip(routes, route_edges):
         assert (nodes.s[i], nodes.t[i]) == (x, y)
         assert sorted(edges) == sorted(_leaf_edges(nodes, i))
-    if not g.is_acyclic():
-        assert core is g and len(nodes.kind) == g.m
-        assert routes == [(u, v, e) for e, (u, v) in enumerate(g.edges)]
-        assert route_edges == [[e] for e in range(g.m)]
     host = DirectedGraph(g.n, g.edges)  # path_induced reads the host's own table
     assert eas_family(g) == tuple(path_induced(host, u, v) for u, v in g.edges)
 

@@ -14,6 +14,11 @@ it stands. Each side runs this script's worker against its own `src/` and
 - cli-mixed: the exit code and stdout of each CLI op at each listed ratio,
   in the workload's order (a solve's stdout is the following check's input).
 
+No benchmark instance has a cyclic LSP above ~150 edges, so the worker also
+reports, for each cyclic `gen_random_lsp` instance of CYCLIC_LSPS (328-614
+edges), the `is_lsp` witnesses and the `solve_lsp` answer at each of
+CYCLIC_RATIOS, each on a fresh parse.
+
 The first answer that differs is printed and the exit code is 1; otherwise
 the count of identical answers is printed and the exit code is 0. Exit code
 2 means a side's worker failed or the base revision cannot be exported.
@@ -31,9 +36,17 @@ import tempfile
 
 from bench_pairs import ROOT, export, git
 
+# (seed, blocks) of gen_random_lsp(seed, blocks=blocks, block_edges=(8, 24),
+# cyclic_prob=0.5, bipartite_prob=0.2): cyclic LSPs of 328-614 edges whose
+# whole-graph path walk still ends within about a second
+CYCLIC_LSPS = [(1, 20), (4, 20), (1, 30), (1, 40)]
+CYCLIC_RATIOS = ["1/3", "1/2", "2/3"]
+
 
 def emit(root: str) -> None:
     """The worker: one JSON line per answer, from the code under `root`."""
+    from mcps import RetentionRatio, is_lsp, parse_edge_list, solve_lsp, to_edge_list
+    from mcps.generators import gen_random_lsp
     from workloads import WORKLOADS
 
     with open(os.path.join(root, "perfbench", "expected.json"), encoding="utf-8") as fh:
@@ -52,6 +65,17 @@ def emit(root: str) -> None:
                         else:
                             answer = [sorted(result.edges), result.objective, result.mcps_star]
                         print(json.dumps([name, op.label, alpha, answer]), flush=True)
+    for seed, blocks in CYCLIC_LSPS:
+        text = to_edge_list(gen_random_lsp(seed, blocks=blocks, block_edges=(8, 24),
+                                           cyclic_prob=0.5, bipartite_prob=0.2, check=False))
+        label = f"gen_random_lsp({seed}, blocks={blocks})"
+        verdict = is_lsp(parse_edge_list(text))
+        print(json.dumps(["lsp-cyclic", label, None, [verdict.p1_witness, verdict.p2_witness]]),
+              flush=True)
+        for alpha in CYCLIC_RATIOS:
+            result = solve_lsp(parse_edge_list(text), RetentionRatio.parse(alpha))
+            answer = [sorted(result.edges), result.objective, result.mcps_star]
+            print(json.dumps(["lsp-cyclic", label, alpha, answer]), flush=True)
 
 
 def answers(root: str) -> subprocess.Popen:
@@ -67,6 +91,8 @@ def first_difference(base: list[str], change: list[str]) -> str | None:
             (name, label, alpha, want), got = json.loads(b), json.loads(c)[3]
             if name == "cli-mixed":
                 return f"{name} {label} at {alpha}: base (exit, stdout) {want!r}, change {got!r}"
+            if alpha is None:
+                return f"{name} {label}: base (p1_witness, p2_witness) {want!r}, change {got!r}"
             diff = sorted(set(want[0]) ^ set(got[0]))
             edge = f"edge {diff[0]} is kept by one side only; " if diff else ""
             return (f"{name} {label} at {alpha}: {edge}base (objective, mcps_star) "
