@@ -26,7 +26,7 @@ from typing import Optional
 from .errors import BudgetExceededError, NotLspError
 from .graphs import DirectedGraph, EdgeSet
 from .spdecomp import (NodeStore, _dsp_root, _leaf_edges, _reduce, _reduce_graph,
-                       _terminal_edge_leaves)
+                       _terminal_edge_leaves, _vertex_lists)
 
 DEFAULT_PATH_BUDGET = 2_000_000
 
@@ -258,11 +258,12 @@ def check_p2(graph: DirectedGraph) -> Optional[tuple[int, int]]:
     return None
 
 
-def _is_dsp_with_terminals(graph: DirectedGraph, edge_indices, s: int, t: int) -> bool:
+def _is_dsp_with_terminals(graph: DirectedGraph, edge_indices, s: int, t: int,
+                           lists: list[list[int]]) -> bool:
     # Every edge given lies on an s-t path, so s is the only source and t
     # the only sink, cyclic or not, as `_dsp_root` asks.
     edges = graph.edges
-    return _dsp_root(_reduce((i, *edges[i]) for i in edge_indices)[1], s, t) is not None
+    return _dsp_root(_reduce(((i, *edges[i]) for i in edge_indices), lists)[1], s, t) is not None
 
 
 def check_p1(graph: DirectedGraph) -> Optional[tuple[int, int]]:
@@ -296,6 +297,7 @@ def check_p1(graph: DirectedGraph) -> Optional[tuple[int, int]]:
     P_D(s, t), a DSP like every pair subgraph of a DSP.
     """
     host = _core(graph)[2]
+    lists = _vertex_lists(host)  # one set for every pair
     targets: dict[int, set[int]] = {}
     for block in host.blocks():
         if len(block) > 1:
@@ -313,7 +315,7 @@ def check_p1(graph: DirectedGraph) -> Optional[tuple[int, int]]:
         for mask, t in pairs:  # past a failing t only smaller targets matter
             if t > bad or any(mask & d == mask for d in dsps):
                 continue
-            if _is_dsp_with_terminals(host, _iter_bits(mask), s, t):
+            if _is_dsp_with_terminals(host, _iter_bits(mask), s, t, lists):
                 dsps.append(mask)
             else:
                 bad = t

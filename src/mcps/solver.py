@@ -15,7 +15,7 @@ from .flow import RetentionRatio, check_all_pairs
 from .graphs import DirectedGraph, EdgeSet
 from .lsp import _core, _meas_blocks, eas_family, is_lsp
 from .solution import Solution
-from .spdecomp import NodeStore, _contract, _dsp_root, _fold, recognize_dsp
+from .spdecomp import NodeStore, _contract, _dsp_root, _fold, _vertex_lists, recognize_dsp
 
 
 def solve_dsp(graph: DirectedGraph, alpha: RetentionRatio) -> Solution:
@@ -58,15 +58,16 @@ def solve_lsp(graph: DirectedGraph, alpha: RetentionRatio) -> Solution:
     Raises NotLspError (carrying the verdict) on non-LSP input.
     """
     blocks = _meas_blocks(graph)
-    base, routes, _, route_edges = _core(graph)
+    base, routes, core, route_edges = _core(graph)
     route_of = {e: r for r, edges in enumerate(route_edges) for e in edges}
     nodes = NodeStore._make(col[:] for col in base)
+    lists = _vertex_lists(core)  # one set for every block
     roots = [i for _, _, i in routes]  # each route's tree, or its block's once contracted
     for defining, block in blocks:
         block_routes = sorted({route_of[e] for e in block})
         if len(block_routes) > 1:
             u, v = graph.edges[defining]
-            left = _contract(nodes, [(roots[r], *routes[r][:2]) for r in block_routes])
+            left = _contract(nodes, {routes[r][:2]: roots[r] for r in block_routes}, lists)
             root = _dsp_root(left, u, v)
             assert root is not None, f"LSP block of edge {defining} is not a DSP on its endpoints"
             for r in block_routes:

@@ -2,15 +2,18 @@
 capacity folding.
 
 Recognition works by exhaustive series/parallel reduction (`_contract`) on a
-multigraph workspace of routes over the original vertex ids: inner vertices
-with in-degree = out-degree = 1 are contracted (series), parallel routes are
-merged on creation (parallel), each step recording a tree node. Parallel
-nodes are n-ary, as in Valdes, Tarjan and Lawler's recognition: a merge into
-a pair that already has a P node appends to it, so a terminal edge of a
-parallel composition is a leaf child of its P node. The reduction system is
-confluent on acyclic single-source single-sink graphs, so getting stuck
-proves the graph is not series-parallel; the stuck core is then handed to
-the W-subdivision search for a best-effort witness.
+workspace of routes over the original vertex ids: one dict from (tail, head)
+to the route's tree node, and four flat lists indexed by vertex id holding
+each vertex's in- and out-degree and the sums of its in-route tails and
+out-route heads, so a vertex of degree 1 names its one neighbour by the sum.
+Inner vertices with in-degree = out-degree = 1 are contracted (series),
+parallel routes are merged on creation (parallel), each step recording a
+tree node. Parallel nodes are n-ary, as in Valdes, Tarjan and Lawler's
+recognition: a merge into a pair that already has a P node appends to it, so
+a terminal edge of a parallel composition is a leaf child of its P node. The
+reduction system is confluent on acyclic single-source single-sink graphs,
+so getting stuck proves the graph is not series-parallel; the stuck core is
+then handed to the W-subdivision search for a best-effort witness.
 
 The tree has no object per node: a reduction fills a `NodeStore` of
 parallel int lists, with children chained by sibling links, and the tree,
@@ -46,9 +49,9 @@ block's routes in a copy of that store, so one fold covers every block.
 from __future__ import annotations
 
 import heapq
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import BudgetExceededError, NotDspError
@@ -279,12 +282,28 @@ def _leaves(edge: list[int], s: list[int], t: list[int]) -> NodeStore:
     return NodeStore([LEAF] * m, edge, s, t, [-1] * m, [-1] * m, [-1] * m)
 
 
-def _contract(nodes: NodeStore, routes: Iterable[tuple[int, int, int]]
-              ) -> list[tuple[int, int, int]]:
-    """Series-parallel reduction of the routes given as (node id, tail, head)
-    of `nodes`, read in full before `nodes` gains the S and P nodes in
-    creation order; returns the routes left when no step applies, as (tail,
-    head, node id).
+def _vertex_lists(graph: DirectedGraph) -> list[list[int]]:
+    """`_contract`'s four lists, all zero, for the vertex ids the graph's
+    edges use: they span the largest of them, not the header's n."""
+    size = 1 + max(chain.from_iterable(graph.edges), default=-1)
+    return [[0] * size for _ in range(4)]
+
+
+def _contract(nodes: NodeStore, routes: dict[tuple[int, int], int],
+              lists: list[list[int]]) -> list[tuple[int, int, int]]:
+    """Series-parallel reduction of `routes`, a dict from (tail, head) to a
+    node id of `nodes`, which gains the S and P nodes in creation order;
+    returns the routes left when no step applies, as (tail, head, node id)
+    in the dict's order.
+
+    The workspace is `routes` itself, which the reduction consumes, and
+    `lists`: the in-degree, the out-degree, the sum of the in-route tails
+    and the sum of the out-route heads of each vertex, indexed by vertex id
+    and all zero on entry. Every step keeps them equal to the degrees and
+    sums over the routes in the dict, so a vertex of in-degree 1 has its one
+    in-neighbour as its tail sum, and likewise out: a series step finds its
+    two routes with two dict lookups. The lists are handed back all zero, so
+    a caller can reuse one set for many reductions.
 
     A series step contracts a vertex with one route in and one out, from and
     to two distinct vertices, and a parallel merge joins a new route to the
@@ -298,29 +317,27 @@ def _contract(nodes: NodeStore, routes: Iterable[tuple[int, int, int]]
     """
     kind, s, t, first, second, sibling = (
         nodes.kind, nodes.s, nodes.t, nodes.first, nodes.second, nodes.sibling)
-    out: defaultdict[int, dict[int, int]] = defaultdict(dict)
-    inn: defaultdict[int, dict[int, int]] = defaultdict(dict)
-    for i, u, v in routes:
-        out[u][v] = inn[v][u] = i
+    indeg, outdeg, tails, heads = lists
+    for x, y in routes:
+        outdeg[x] += 1
+        heads[x] += y
+        indeg[y] += 1
+        tails[y] += x
 
-    heap = [v for v, succ in out.items()
-            if len(succ) == 1 and len(inn[v]) == 1]
+    heap = [y for _, y in routes if indeg[y] == 1 and outdeg[y] == 1]
     heapq.heapify(heap)
     heappop, heappush = heapq.heappop, heapq.heappush
+    pop, setdefault = routes.pop, routes.setdefault
     while heap:
         v = heappop(heap)
-        pred, succ = inn[v], out[v]
-        if len(pred) != 1 or len(succ) != 1:
+        if indeg[v] != 1 or outdeg[v] != 1:
             continue
-        (x, a), = pred.items()
-        (y, b), = succ.items()
+        x, y = tails[v], heads[v]
         if x == y:  # a 2-cycle x <-> v, which a step would turn into the self-loop (x, x)
             continue
-        outx, inny = out[x], inn[y]
-        del outx[v]
-        del inny[v]
-        pred.clear()
-        succ.clear()
+        a = pop((x, v))
+        b = pop((v, y))
+        indeg[v] = outdeg[v] = tails[v] = heads[v] = 0
         new = len(kind)
         kind.append(SERIES)
         s.append(x)
@@ -329,15 +346,20 @@ def _contract(nodes: NodeStore, routes: Iterable[tuple[int, int, int]]
         second.append(b)
         sibling.append(-1)
         sibling[a] = b
-        old = outx.get(y)
-        if old is None:
-            outx[y] = inny[x] = new
+        old = setdefault((x, y), new)
+        if old == new:
+            heads[x] += y - v
+            tails[y] += x - v
             continue
+        outdeg[x] -= 1
+        heads[x] -= v
+        indeg[y] -= 1
+        tails[y] -= v
         if kind[old] == PARALLEL:
             sibling[second[old]] = new
             second[old] = new
         else:
-            outx[y] = inny[x] = new + 1
+            routes[x, y] = new + 1
             kind.append(PARALLEL)
             s.append(x)
             t.append(y)
@@ -346,16 +368,20 @@ def _contract(nodes: NodeStore, routes: Iterable[tuple[int, int, int]]
             sibling.append(-1)
             sibling[old] = new
         for w in (x, y):
-            if len(out[w]) == 1 and len(inn[w]) == 1:
+            if indeg[w] == 1 and outdeg[w] == 1:
                 heappush(heap, w)
 
-    return [(x, y, i) for x, succ in out.items() for y, i in succ.items()]
+    left = [(x, y, i) for (x, y), i in routes.items()]
+    for x, y, _ in left:
+        outdeg[x] = heads[x] = indeg[y] = tails[y] = 0
+    return left
 
 
-def _reduce(triples: Iterable[tuple[int, int, int]]
+def _reduce(triples: Iterable[tuple[int, int, int]], lists: list[list[int]]
             ) -> tuple[NodeStore, list[tuple[int, int, int]]]:
     """`_contract` of one leaf per (edge id, tail, head) triple, in triple
-    order: the node store and the routes left. An input whose only source
+    order, on `lists` (see `_contract`), which span every vertex id of the
+    triples: the node store and the routes left. An input whose only source
     is s and only sink is t is a DSP with terminals s and t iff exactly one
     route remains and it is (s, t); its node is then the root."""
     edge: list[int] = []
@@ -365,8 +391,9 @@ def _reduce(triples: Iterable[tuple[int, int, int]]
         edge.append(e)
         s.append(u)
         t.append(v)
+    routes = dict(zip(zip(s, t), range(len(edge))))
     nodes = _leaves(edge, s, t)
-    return nodes, _contract(nodes, zip(range(len(edge)), s, t))
+    return nodes, _contract(nodes, routes, lists)
 
 
 def _reduce_graph(graph: DirectedGraph) -> tuple[NodeStore, list[tuple[int, int, int]]]:
@@ -375,7 +402,8 @@ def _reduce_graph(graph: DirectedGraph) -> tuple[NodeStore, list[tuple[int, int,
     if "reduction" not in graph._cache:
         edges = graph.edges
         nodes = _leaves(list(range(len(edges))), [u for u, _ in edges], [v for _, v in edges])
-        graph._cache["reduction"] = nodes, _contract(nodes, zip(nodes.edge, nodes.s, nodes.t))
+        routes = dict(graph._edge_index)  # edge i's (tail, head) -> i, leaf i
+        graph._cache["reduction"] = nodes, _contract(nodes, routes, _vertex_lists(graph))
     return graph._cache["reduction"]
 
 

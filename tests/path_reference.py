@@ -17,20 +17,24 @@ simple cycles, the reference for `DirectedGraph.blocks`.
 `mcps.solver.solve_lsp` did before it continued the shared reduction.
 `check_p2_reference` is the P2 owner scan over every distinct EAS set,
 singletons included, as `mcps.lsp.check_p2` was before it skipped them.
+`contract_reference` is the series-parallel reduction on per-vertex dicts
+of routes, as `mcps.spdecomp._contract` was before it kept flat per-vertex
+lists: the contraction tests compare node stores against it.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import heapq
+from collections import defaultdict, deque
 from itertools import combinations
-from typing import Optional
+from typing import Iterable, Optional
 
 from mcps import (BudgetExceededError, DirectedGraph, EdgeSet, RetentionRatio,
                   check_all_pairs, eas_family)
 from mcps.lsp import _meas_blocks
 from mcps.solution import Solution
 from mcps.spdecomp import (LEAF, PARALLEL, SERIES, NodeStore, _dsp_root, _fold, _postorder,
-                           _reduce)
+                           _reduce, _vertex_lists)
 
 DEFAULT_STEP_BUDGET = 5_000_000
 
@@ -292,7 +296,7 @@ def solve_lsp_reference(graph: DirectedGraph, alpha: RetentionRatio) -> Solution
             chosen.add(defining)
             med_size += 1
             continue
-        nodes, remaining = _reduce((e, *edges[e]) for e in sorted(block))
+        nodes, remaining = _reduce(((e, *edges[e]) for e in sorted(block)), _vertex_lists(graph))
         root = _dsp_root(remaining, *edges[defining])
         assert root is not None, f"LSP block of edge {defining} is not a DSP on its endpoints"
         _, kept, block_med = _fold(nodes, (root,), alpha)
@@ -324,3 +328,76 @@ def check_p2_reference(graph: DirectedGraph
             owner[x] = idx
     maximal.sort(key=lambda block: min(block[1]))
     return None, maximal
+
+
+def contract_reference(nodes: NodeStore, routes: Iterable[tuple[int, int, int]]
+                       ) -> list[tuple[int, int, int]]:
+    """Series-parallel reduction of the routes given as (node id, tail, head)
+    of `nodes`, read in full before `nodes` gains the S and P nodes in
+    creation order; returns the routes left when no step applies, as (tail,
+    head, node id).
+
+    A series step contracts a vertex with one route in and one out, from and
+    to two distinct vertices, and a parallel merge joins a new route to the
+    route with its tail and head; sources and sinks of the routes are never
+    contracted (see the `mcps.spdecomp` module docstring). Contraction picks the lowest
+    eligible vertex id first. A merge links the newer route after the last
+    child of the older route's P node, made on the first merge unless the
+    older route's node is a P node already, so a route's P node keeps its
+    first child. The result is deterministic; by confluence the routes left,
+    though not the tree, are the same in any order on acyclic inputs.
+    """
+    kind, s, t, first, second, sibling = (
+        nodes.kind, nodes.s, nodes.t, nodes.first, nodes.second, nodes.sibling)
+    out: defaultdict[int, dict[int, int]] = defaultdict(dict)
+    inn: defaultdict[int, dict[int, int]] = defaultdict(dict)
+    for i, u, v in routes:
+        out[u][v] = inn[v][u] = i
+
+    heap = [v for v, succ in out.items()
+            if len(succ) == 1 and len(inn[v]) == 1]
+    heapq.heapify(heap)
+    heappop, heappush = heapq.heappop, heapq.heappush
+    while heap:
+        v = heappop(heap)
+        pred, succ = inn[v], out[v]
+        if len(pred) != 1 or len(succ) != 1:
+            continue
+        (x, a), = pred.items()
+        (y, b), = succ.items()
+        if x == y:  # a 2-cycle x <-> v, which a step would turn into the self-loop (x, x)
+            continue
+        outx, inny = out[x], inn[y]
+        del outx[v]
+        del inny[v]
+        pred.clear()
+        succ.clear()
+        new = len(kind)
+        kind.append(SERIES)
+        s.append(x)
+        t.append(y)
+        first.append(a)
+        second.append(b)
+        sibling.append(-1)
+        sibling[a] = b
+        old = outx.get(y)
+        if old is None:
+            outx[y] = inny[x] = new
+            continue
+        if kind[old] == PARALLEL:
+            sibling[second[old]] = new
+            second[old] = new
+        else:
+            outx[y] = inny[x] = new + 1
+            kind.append(PARALLEL)
+            s.append(x)
+            t.append(y)
+            first.append(old)
+            second.append(new)
+            sibling.append(-1)
+            sibling[old] = new
+        for w in (x, y):
+            if len(out[w]) == 1 and len(inn[w]) == 1:
+                heappush(heap, w)
+
+    return [(x, y, i) for x, succ in out.items() for y, i in succ.items()]

@@ -13,7 +13,7 @@ from mcps import cli, oracle
 import mcps.lsp as lsp_mod
 import mcps.spdecomp as spdecomp_mod
 from mcps.lsp import _is_dsp_with_terminals, _iter_bits, _source_row
-from mcps.spdecomp import _leaf_edges, _reduce_graph
+from mcps.spdecomp import _leaf_edges, _reduce_graph, _vertex_lists
 from mcps.generators import fixtures, gen_random_dsp, gen_random_lsp
 
 from path_reference import check_p2_reference, enumerate_simple_path_edges, per_pair_path_induced
@@ -157,7 +157,7 @@ def test_check_p1():
 def _fails_p1(g, s, t):
     """Whether P(s, t) is neither empty nor a DSP on (s, t)."""
     edges = path_induced(g, s, t)
-    return bool(edges) and not _is_dsp_with_terminals(g, edges, s, t)
+    return bool(edges) and not _is_dsp_with_terminals(g, edges, s, t, _vertex_lists(g))
 
 
 def _check_p1_naive(g):
@@ -245,9 +245,9 @@ def test_check_p1_reduces_at_most_once_per_core_block(seed, monkeypatch):
                        bipartite_prob=0.2)
     calls = []
 
-    def counting(triples):
+    def counting(triples, lists):
         calls.append(None)
-        return real_reduce(triples)
+        return real_reduce(triples, lists)
 
     real_reduce = lsp_mod._reduce
     monkeypatch.setattr(lsp_mod, "_reduce", counting)
@@ -284,9 +284,9 @@ def test_check_p1_reduces_a_directed_cycle_once_per_source(k, monkeypatch):
     # reduction per source instead of one per pair with two or more edges.
     calls = []
 
-    def counting(triples):
+    def counting(triples, lists):
         calls.append(None)
-        return real_reduce(triples)
+        return real_reduce(triples, lists)
 
     real_reduce = lsp_mod._reduce
     monkeypatch.setattr(lsp_mod, "_reduce", counting)
@@ -332,10 +332,10 @@ def test_check_p1_reduces_a_dag_once_then_only_core_routes(monkeypatch):
     # are the core's.
     calls, masked = [], []
 
-    def counting(nodes, routes):
-        routes = list(routes)
-        remaining = real_contract(nodes, routes)
-        calls.append((len(routes), len(remaining)))
+    def counting(nodes, routes, lists):
+        size = len(routes)
+        remaining = real_contract(nodes, routes, lists)
+        calls.append((size, len(remaining)))
         return remaining
 
     def recording(graph):
@@ -455,7 +455,7 @@ def test_pair_decision_matches_relabel_and_recognize(g):
                 continue
             edges = path_induced(g, s, t)
             if edges:
-                assert _is_dsp_with_terminals(g, edges, s, t) == \
+                assert _is_dsp_with_terminals(g, edges, s, t, _vertex_lists(g)) == \
                     (_recognized_terminals(g, edges) == (s, t)), (s, t)
 
 
@@ -479,6 +479,36 @@ def test_check_p1_and_solve_lsp_build_no_tree(monkeypatch):
         assert check_p1(fresh) == p1
         if objective is not None:
             assert solve_lsp(fresh, alpha).objective == objective
+
+
+def test_check_p1_and_solve_lsp_make_one_list_set_per_call(monkeypatch):
+    # the reductions of all of check_p1's pairs, and of all of solve_lsp's
+    # blocks, share one set of `_contract` lists, each handed back zero
+    g = gen_random_lsp(202, blocks=12, block_edges=(8, 24), cyclic_prob=0.3,
+                       bipartite_prob=0.2)
+    assert is_lsp(g).is_lsp  # caches the shared reduction and the MEAS blocks
+    made, used = [], []
+
+    def making(graph):
+        made.append(real_lists(graph))
+        return made[-1]
+
+    def using(nodes, routes, lists):
+        assert not any(map(any, lists))
+        used.append(lists)
+        return real_contract(nodes, routes, lists)
+
+    real_lists, real_contract = spdecomp_mod._vertex_lists, spdecomp_mod._contract
+    for module in (spdecomp_mod, lsp_mod, mcps.solver):
+        monkeypatch.setattr(module, "_vertex_lists", making)
+    monkeypatch.setattr(spdecomp_mod, "_contract", using)
+    monkeypatch.setattr(mcps.solver, "_contract", using)
+    for run in (check_p1, lambda g: solve_lsp(g, RetentionRatio(1, 2))):
+        made.clear()
+        used.clear()
+        run(g)
+        assert len(made) == 1 and len(used) > 1
+        assert all(lists is made[0] for lists in used)
 
 
 def test_check_p2():
@@ -610,10 +640,9 @@ def test_each_meas_block_has_one_defining_edge_and_solve_lsp_reduces_on_it(
         defining.append(owners[0])
     contracted, ends = [], []
 
-    def recording(nodes, routes):
-        routes = list(routes)
-        contracted.append(sorted(i for i, _, _ in routes))
-        remaining = real_contract(nodes, routes)
+    def recording(nodes, routes, lists):
+        contracted.append(sorted(routes.values()))
+        remaining = real_contract(nodes, routes, lists)
         ends.append(remaining[0][:2])
         return remaining
 

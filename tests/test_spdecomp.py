@@ -1,13 +1,17 @@
-import pytest
-from hypothesis import given, settings
+import tracemalloc
 
-from mcps import DirectedGraph, NotDspError, RetentionRatio, max_flow_value, recognize_dsp
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from mcps import (DirectedGraph, NotDspError, RetentionRatio, max_flow_value, path_induced,
+                  recognize_dsp)
 from mcps.generators import fixtures, gen_random_dsp
 from mcps.lsp import _meas_blocks
 from mcps.spdecomp import (LEAF, PARALLEL, SERIES, DecompositionTree, NodeStore, _dsp_root,
-                           _fold, _reduce, _reduce_graph)
+                           _contract, _fold, _leaves, _reduce, _reduce_graph, _vertex_lists)
 
-from path_reference import fold_reference
+from path_reference import contract_reference, fold_reference
 from strategies import digraphs, dsp_graphs, lsp_graphs
 
 ALPHAS = [RetentionRatio(1, 3), RetentionRatio(1, 2), RetentionRatio(2, 3), RetentionRatio(3, 4)]
@@ -206,7 +210,7 @@ def test_fold_matches_the_postorder_reference_on_dsps(g):
 def test_fold_matches_the_postorder_reference_on_lsp_blocks(g):
     # each MEAS block reduced and rooted as `solve_lsp` does it
     for defining, block in _meas_blocks(g):
-        nodes, remaining = _reduce((e, *g.edges[e]) for e in sorted(block))
+        nodes, remaining = _reduce(((e, *g.edges[e]) for e in sorted(block)), _vertex_lists(g))
         root = _dsp_root(remaining, *g.edges[defining])
         _assert_fold_matches_reference(nodes, root)
 
@@ -331,7 +335,8 @@ def test_near_miss_w_witness_paths_are_pinned(build, paths):
 def test_a_two_cycle_is_left_as_two_routes():
     # contracting 1 would make the route (0, 0) and an S node whose two
     # children are one node, that node its own sibling
-    nodes, remaining = _reduce([(0, 0, 1), (1, 1, 0)])
+    nodes, remaining = _reduce([(0, 0, 1), (1, 1, 0)],
+                               _vertex_lists(DirectedGraph(2, [(0, 1), (1, 0)])))
     assert sorted(remaining) == [(0, 1, 0), (1, 0, 1)]
     assert nodes.kind == [LEAF, LEAF] and nodes.sibling == [-1, -1]
 
@@ -349,3 +354,53 @@ def test_reduction_of_a_cyclic_fixture_keeps_every_chain_finite(name):
             assert c not in seen, f"node {i}'s child chain repeats node {c}"
             seen.add(c)
             c = nodes.sibling[c]
+
+
+def _assert_contract_matches_reference(g, edge_ids, lists):
+    """`_contract` and `contract_reference` of one leaf per edge of
+    edge_ids, in that order, make the same store column for column and
+    leave the same routes; `_contract` hands `lists` back all zero."""
+    want = _leaves(list(edge_ids), [g.edges[e][0] for e in edge_ids],
+                   [g.edges[e][1] for e in edge_ids])
+    got = NodeStore._make(col[:] for col in want)
+    want_left = contract_reference(want, zip(range(len(edge_ids)), want.s[:], want.t[:]))
+    left = _contract(got, dict(zip(zip(got.s, got.t), range(len(edge_ids)))), lists)
+    assert got == want, "the node stores differ"
+    assert sorted(left) == sorted(want_left)
+    assert not any(map(any, lists)), "the lists were not handed back zero"
+
+
+def _assert_reductions_match_reference(g):
+    # the whole edge set, then each pair subgraph P(s, t) of two or more
+    # edges, as the P1 check reduces them, all on one set of lists
+    lists = _vertex_lists(g)
+    _assert_contract_matches_reference(g, range(g.m), lists)
+    for s in range(g.n):
+        for t in range(g.n):
+            if s != t and len(pair := path_induced(g, s, t)) > 1:
+                _assert_contract_matches_reference(g, sorted(pair), lists)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(digraphs(max_n=9, max_m=14), dsp_graphs(max_edges=20),
+                 lsp_graphs(max_blocks=4, block_hi=8)))
+@example(DirectedGraph(2, [(0, 1), (1, 0)]))  # the 2-cycle
+def test_contract_matches_the_dict_of_dicts_reference(g):
+    _assert_reductions_match_reference(g)
+
+
+@pytest.mark.parametrize("name", sorted(fixtures()))
+def test_contract_matches_the_reference_on_every_fixture(name):
+    _assert_reductions_match_reference(fixtures()[name])
+
+
+def test_reducing_a_large_header_allocates_by_the_vertices_its_edges_use():
+    g = DirectedGraph(1_000_000, [(0, 1), (1, 2)])
+    tracemalloc.start()
+    try:
+        _, remaining = _reduce_graph(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert remaining == [(0, 2, 2)]
+    assert peak < 1_000_000, peak

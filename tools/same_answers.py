@@ -12,7 +12,11 @@ it stands. Each side runs this script's worker against its own `src/` and
 - dsp-large and lsp-dag: the kept edge set, objective and mcps_star of
   `solve_dsp` / `solve_lsp` at each listed ratio, each on a fresh parse;
 - cli-mixed: the exit code and stdout of each CLI op at each listed ratio,
-  in the workload's order (a solve's stdout is the following check's input).
+  in the workload's order (a solve's stdout is the following check's input);
+- dsp-large, once per instance: the sha256 of `recognize_dsp(...).dump()` on
+  a fresh parse, so a change in the decomposition tree (the order in which
+  the reduction contracts vertices and merges routes) counts as a
+  difference, though no benchmark answer prints a tree.
 
 No benchmark instance has a cyclic LSP above ~150 edges, so the worker also
 reports, for each cyclic `gen_random_lsp` instance of CYCLIC_LSPS (328-614
@@ -27,6 +31,7 @@ the count of identical answers is printed and the exit code is 0. Exit code
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import shutil
@@ -45,8 +50,10 @@ CYCLIC_RATIOS = ["1/3", "1/2", "2/3"]
 
 def emit(root: str) -> None:
     """The worker: one JSON line per answer, from the code under `root`."""
-    from mcps import RetentionRatio, is_lsp, parse_edge_list, solve_lsp, to_edge_list
+    from mcps import (RetentionRatio, is_lsp, parse_edge_list, recognize_dsp, solve_lsp,
+                      to_edge_list)
     from mcps.generators import gen_random_lsp
+    from instances import build
     from workloads import WORKLOADS
 
     with open(os.path.join(root, "perfbench", "expected.json"), encoding="utf-8") as fh:
@@ -65,6 +72,10 @@ def emit(root: str) -> None:
                         else:
                             answer = [sorted(result.edges), result.objective, result.mcps_star]
                         print(json.dumps([name, op.label, alpha, answer]), flush=True)
+    for index, entry in enumerate(pools["dsp-large"]):
+        dump = recognize_dsp(parse_edge_list(build(entry["spec"])[0])).dump()
+        print(json.dumps(["dsp-tree", f"dsp-large#{index}", None,
+                          hashlib.sha256(dump.encode()).hexdigest()]), flush=True)
     for seed, blocks in CYCLIC_LSPS:
         text = to_edge_list(gen_random_lsp(seed, blocks=blocks, block_edges=(8, 24),
                                            cyclic_prob=0.5, bipartite_prob=0.2, check=False))
@@ -91,6 +102,8 @@ def first_difference(base: list[str], change: list[str]) -> str | None:
             (name, label, alpha, want), got = json.loads(b), json.loads(c)[3]
             if name == "cli-mixed":
                 return f"{name} {label} at {alpha}: base (exit, stdout) {want!r}, change {got!r}"
+            if name == "dsp-tree":
+                return f"{name} {label}: base tree sha256 {want}, change {got}"
             if alpha is None:
                 return f"{name} {label}: base (p1_witness, p2_witness) {want!r}, change {got!r}"
             diff = sorted(set(want[0]) ^ set(got[0]))
