@@ -263,12 +263,10 @@ def feasible(graph: DirectedGraph, edge_indices: Iterable[int],
     return True
 
 
-def pair_requirements(graph: DirectedGraph,
-                      alpha: Optional[RetentionRatio]) -> list[tuple[int, int, int]]:
-    """(s, t, required) for every ordered pair with a positive requirement.
-
-    With alpha=None the requirement is min(capacity, 1), i.e. reachability
-    must be preserved exactly (the MED requirement).
+def pair_requirements(graph: DirectedGraph, alpha: RetentionRatio) -> list[tuple[int, int, int]]:
+    """(s, t, ceil(alpha * capacity)) for every ordered pair s != t with an
+    s-t path, in ascending order. No capacity exceeds m, so at alpha =
+    1/(m+2) each needs 1: reachability is kept exactly (the MED requirement).
     """
     rows = []
     for s in range(graph.n):
@@ -276,8 +274,7 @@ def pair_requirements(graph: DirectedGraph,
             # t is reachable, so its capacity is at least 1 and so is its
             # requirement. The capacity never exceeds min(outdeg(s), indeg(t)),
             # so when that bound needs 1, so does the pair, with no flow.
-            need = 1 if alpha is None else alpha.required(
-                min(graph.out_degree(s), graph.in_degree(t)))
+            need = alpha.required(min(graph.out_degree(s), graph.in_degree(t)))
             if need > 1:
                 need = alpha.required(max_flow_value(graph, s, t))
             rows.append((s, t, need))

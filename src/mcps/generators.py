@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import combinations
+from operator import index
 from typing import Iterable
 
 from .errors import McpsError
@@ -34,12 +35,13 @@ class SetCoverInstance:
         for i, s in enumerate(self.sets):
             if not s:
                 raise ValueError(f"set {i} is empty")
-            if not s <= set(range(self.universe_size)):
+            if min(s) < 0 or max(s) >= self.universe_size:
                 raise ValueError(f"set {i} leaves the universe")
-            covered |= s
-        if covered != set(range(self.universe_size)):
-            missing = sorted(set(range(self.universe_size)) - covered)
-            raise ValueError(f"items {missing} appear in no set")
+            covered.update(map(index, s))  # 0.5 would pass the range check
+        if len(covered) < self.universe_size:  # every item lies in the universe
+            smallest = next(u for u in range(self.universe_size) if u not in covered)
+            raise ValueError(f"{self.universe_size - len(covered)} items appear in no set, "
+                             f"the smallest is {smallest}")
 
     def frequency(self, item: int) -> int:
         return sum(1 for s in self.sets if item in s)

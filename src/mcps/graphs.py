@@ -50,6 +50,7 @@ class DirectedGraph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]],
                  labels: Optional[dict[int, str]] = None,
                  meta: Optional[dict] = None):
+        n = index(n)
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         # One pass: the edge-index dict is also the duplicate check, and its

@@ -51,10 +51,10 @@ def _degree_rows(graph: DirectedGraph, requirements) -> tuple[list[tuple[int, in
     return rows, max(sum(out_need), sum(in_need))
 
 
-def _minimum_feasible(graph: DirectedGraph, alpha: RetentionRatio | None,
+def _minimum_feasible(graph: DirectedGraph, alpha: RetentionRatio,
                       budget_edges: int) -> frozenset[int]:
-    """Smallest feasible superset of the mandatory edges, ties broken by the
-    lexicographically smallest sorted index tuple (combinations order).
+    """Smallest superset of the mandatory edges feasible at alpha, ties broken
+    by the lexicographically smallest sorted index tuple (combinations order).
 
     A candidate edge mask goes to `feasible` only if it passes every degree
     row (a necessary condition only); sizes below the rows' bound are skipped."""
@@ -85,5 +85,6 @@ def brute_force_mcps(graph: DirectedGraph, alpha: RetentionRatio,
 
 
 def brute_force_med(graph: DirectedGraph, budget: int = DEFAULT_EDGE_BUDGET) -> EdgeSet:
-    """Minimum edge set preserving the reachability relation, by enumeration."""
-    return EdgeSet(_minimum_feasible(graph, None, budget), graph.m)
+    """Minimum edge set preserving the reachability relation, by enumeration
+    at alpha = 1/(m+2), where every pair with a path needs one."""
+    return EdgeSet(_minimum_feasible(graph, RetentionRatio(1, graph.m + 2), budget), graph.m)

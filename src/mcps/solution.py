@@ -14,7 +14,7 @@ class Solution:
     """An edge subset with the algorithm that produced it.
 
     `alpha` is None for minimum-equivalent-digraph mode, where the
-    requirement is reachability preservation rather than a ratio.
+    requirement is reachability preservation (solved at alpha = 1/(m+2)).
     `objective` is the number of edges. `mcps_star` is the objective minus
     the minimum-equivalent-digraph size when that size is known, else None.
     """

@@ -13,7 +13,7 @@ from . import oracle
 from .errors import McpsError, NotDspError
 from .flow import RetentionRatio, check_all_pairs
 from .graphs import DirectedGraph, EdgeSet
-from .lsp import _core, _meas_blocks, eas_family, is_lsp
+from .lsp import _core, _meas_blocks, is_lsp
 from .solution import Solution
 from .spdecomp import NodeStore, _contract, _dsp_root, _fold, _vertex_lists, recognize_dsp
 
@@ -80,18 +80,13 @@ def solve_lsp(graph: DirectedGraph, alpha: RetentionRatio) -> Solution:
 def solve_med(graph: DirectedGraph) -> Solution:
     """Minimum equivalent digraph of a laminar series-parallel graph.
 
-    This is the block decomposition of `solve_lsp` in the limit where every
-    reachable pair must keep one path, so the requirement is
-    min(capacity, 1). The DSP fold then drops every edge that has an
-    alternative path, so the result is exactly the edges whose EAS set is a
-    singleton, read off the EAS family without recognizing the blocks.
+    MED is MCPS where every pair with a path keeps one: no capacity exceeds
+    m, so it is `solve_lsp` at alpha = 1/(m+2). The fold then drops every
+    terminal-edge leaf and keeps exactly the singleton-EAS edges.
 
     Raises NotLspError (carrying the verdict) on non-LSP input.
     """
-    _meas_blocks(graph)  # the LSP precondition: raises NotLspError otherwise
-    chosen = [e for e, s in enumerate(eas_family(graph)) if len(s) == 1]
-    return Solution(edges=EdgeSet(chosen, graph.m), algorithm="med", alpha=None,
-                    mcps_star=0)
+    return replace(solve_lsp(graph, RetentionRatio(1, graph.m + 2)), algorithm="med", alpha=None)
 
 
 def _is_strongly_connected(graph: DirectedGraph) -> bool:

@@ -15,6 +15,8 @@ simple cycles, the reference for `DirectedGraph.blocks`.
 `mcps.spdecomp._fold` was before it walked the node store in creation order.
 `solve_lsp_reference` reduces and folds each MEAS block on its own, as
 `mcps.solver.solve_lsp` did before it continued the shared reduction.
+`med_reference` reads the MED of an LSP off the singleton EAS sets, as
+`mcps.solver.solve_med` did before it folded at alpha = 1/(m+2).
 `check_p2_reference` is the P2 owner scan over every distinct EAS set,
 singletons included, as `mcps.lsp.check_p2` was before it skipped them.
 `contract_reference` is the series-parallel reduction on per-vertex dicts
@@ -304,6 +306,23 @@ def solve_lsp_reference(graph: DirectedGraph, alpha: RetentionRatio) -> Solution
         med_size += block_med
     return Solution(edges=EdgeSet(chosen, graph.m), algorithm="lsp", alpha=alpha,
                     mcps_star=len(chosen) - med_size)
+
+
+def med_reference(graph: DirectedGraph) -> Solution:
+    """Minimum equivalent digraph of a laminar series-parallel graph.
+
+    This is the block decomposition of `solve_lsp` in the limit where every
+    reachable pair must keep one path, so the requirement is
+    min(capacity, 1). The DSP fold then drops every edge that has an
+    alternative path, so the result is exactly the edges whose EAS set is a
+    singleton, read off the EAS family without recognizing the blocks.
+
+    Raises NotLspError (carrying the verdict) on non-LSP input.
+    """
+    _meas_blocks(graph)  # the LSP precondition: raises NotLspError otherwise
+    chosen = [e for e, s in enumerate(eas_family(graph)) if len(s) == 1]
+    return Solution(edges=EdgeSet(chosen, graph.m), algorithm="med", alpha=None,
+                    mcps_star=0)
 
 
 def check_p2_reference(graph: DirectedGraph

@@ -372,6 +372,14 @@ def test_every_number_read_from_the_command_line_is_ascii_decimal(capsys, w_file
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_gen_setcover_names_what_is_missing_in_one_short_line(capsys):
+    # the message names the count and the smallest missing item, not each one
+    code, out, err = run(capsys, "gen", "setcover", "--universe", "2000000", "--sets", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: 1999999 items appear in no set, the smallest is 1\n"
+    assert len(err) < 200
+
+
 def test_help_still_prints_usage_and_exits_0(capsys):
     code, out, err = run(capsys, "--help")
     assert (code, err) == (0, "")

@@ -88,6 +88,21 @@ def test_pair_requirements_skip_flows_whose_bound_needs_one(monkeypatch):
     assert len(calls) == 12
 
 
+def test_pair_requirements_at_one_over_m_plus_two_need_one_per_reachable_pair(monkeypatch):
+    # no capacity exceeds m, so at 1/(m+2) every pair with a path needs 1
+    # (the MED requirement), and the degree bound says so with no flow
+    import mcps.flow as flow_mod
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("max_flow_value called")
+
+    monkeypatch.setattr(flow_mod, "max_flow_value", unreachable)
+    dense = DirectedGraph(5, [(u, v) for u in range(5) for v in range(5) if u != v])
+    for g in [*fixtures().values(), dense, DirectedGraph(3, [])]:
+        assert pair_requirements(g, RetentionRatio(1, g.m + 2)) == [
+            (s, t, 1) for s in range(g.n) for t in sorted(g.reachable_from(s)) if t != s]
+
+
 @pytest.mark.parametrize("lam", range(0, 30))
 @pytest.mark.parametrize("p,q", [(1, 3), (1, 2), (2, 3), (3, 4), (7, 8)])
 def test_required_capacity_bounds(p, q, lam):

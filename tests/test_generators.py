@@ -12,6 +12,19 @@ from mcps.generators import (SetCoverInstance,
 from path_reference import edge_disjoint_paths_count
 
 
+def test_set_cover_validation_is_sized_by_the_sets_not_the_universe():
+    # a range per set and the union's size decide coverage; a set of the
+    # whole universe per set would take gigabytes here
+    with pytest.raises(ValueError, match=r"^999999999 items appear in no set, the smallest is 1$"):
+        SetCoverInstance(10**9, (frozenset({0}),))
+    with pytest.raises(ValueError, match=r"^set 1 leaves the universe$"):
+        SetCoverInstance(10**9, (frozenset({0}), frozenset({5, 10**9})))
+    with pytest.raises(ValueError, match=r"^set 0 leaves the universe$"):
+        SetCoverInstance(3, (frozenset({-1, 1}),))
+    with pytest.raises(ValueError, match=r"^2 items appear in no set, the smallest is 0$"):
+        SetCoverInstance(4, (frozenset({1, 3}),))
+
+
 def test_set_cover_instance_validation():
     with pytest.raises(ValueError):
         SetCoverInstance(2, (frozenset(),))
@@ -19,6 +32,8 @@ def test_set_cover_instance_validation():
         SetCoverInstance(2, (frozenset({0, 5}),))
     with pytest.raises(ValueError):
         SetCoverInstance(3, (frozenset({0, 1}),))  # item 2 uncovered
+    with pytest.raises(TypeError):
+        SetCoverInstance(2, (frozenset({0, 0.5}), frozenset({1})))
     sc = example_cover_instance()
     assert [sc.frequency(u) for u in range(4)] == [1, 2, 3, 1]
     assert sc.max_frequency() == 3

@@ -118,6 +118,15 @@ def test_constructor_rejects_non_integer_vertex_ids():
         DirectedGraph(3, [("0", 1)])
 
 
+def test_constructor_rejects_a_non_integer_vertex_count():
+    # a float or string n would fail later, inside sources() or solve()
+    with pytest.raises(TypeError):
+        DirectedGraph(3.0, [(0, 1), (1, 2)])
+    with pytest.raises(TypeError):
+        DirectedGraph("3", [(0, 1), (1, 2)])
+    assert DirectedGraph(True, []).n == 1  # bool is an int subtype
+
+
 def test_edge_set_rejects_non_integer_indices():
     # int() would read [1.9, True] as the single index 1
     with pytest.raises(TypeError):

@@ -12,7 +12,7 @@ from mcps.solution import Solution
 from mcps.generators import (example_reduction_artifact, fixtures, brute_force_set_cover,
                              gen_random_dsp, gen_random_lsp, sc_to_mcps_solution)
 
-from path_reference import enumerate_simple_path_edges, solve_lsp_reference
+from path_reference import enumerate_simple_path_edges, med_reference, solve_lsp_reference
 from strategies import dsp_graphs, lsp_graphs
 
 HALF = RetentionRatio(1, 2)
@@ -128,6 +128,27 @@ def test_solve_med_matches_brute_force(g):
     if g.m > 13:
         return
     assert solve_med(g).objective == len(oracle.brute_force_med(g))
+
+
+@pytest.mark.parametrize("name", sorted(fixtures()))
+def test_solve_med_matches_the_singleton_eas_reference_on_every_fixture(name):
+    # the fold at 1/(m+2) keeps exactly the edges whose EAS set is a
+    # singleton, and both refuse a non-LSP; each call gets a fresh graph
+    g = fixtures()[name]
+    if not is_lsp(g).is_lsp:
+        for med in (solve_med, med_reference):
+            with pytest.raises(NotLspError):
+                med(DirectedGraph(g.n, g.edges))
+        return
+    assert solve_med(DirectedGraph(g.n, g.edges)) == med_reference(DirectedGraph(g.n, g.edges))
+
+
+@settings(max_examples=80, deadline=None)
+@given(lsp_graphs(max_blocks=5, block_hi=10))
+@example(gen_random_lsp(3, blocks=4, block_edges=(4, 10), cyclic_prob=0, bipartite_prob=0.5))
+@example(gen_random_lsp(3, blocks=4, block_edges=(4, 10), cyclic_prob=1, bipartite_prob=0))
+def test_solve_med_matches_the_singleton_eas_reference(g):
+    assert solve_med(DirectedGraph(g.n, g.edges)) == med_reference(DirectedGraph(g.n, g.edges))
 
 
 def test_extract_mscs_or_hamiltonian():

@@ -16,12 +16,14 @@ it stands. Each side runs this script's worker against its own `src/` and
 - dsp-large, once per instance: the sha256 of `recognize_dsp(...).dump()` on
   a fresh parse, so a change in the decomposition tree (the order in which
   the reduction contracts vertices and merges routes) counts as a
-  difference, though no benchmark answer prints a tree.
+  difference, though no benchmark answer prints a tree;
+- lsp-dag, once per instance: the `solve_med` answer on a fresh parse, as
+  the workload itself calls only `solve_lsp`.
 
 No benchmark instance has a cyclic LSP above ~150 edges, so the worker also
 reports, for each cyclic `gen_random_lsp` instance of CYCLIC_LSPS (328-614
-edges), the `is_lsp` witnesses and the `solve_lsp` answer at each of
-CYCLIC_RATIOS, each on a fresh parse.
+edges), the `is_lsp` witnesses, the `solve_lsp` answer at each of
+CYCLIC_RATIOS and the `solve_med` answer, each on a fresh parse.
 
 The first answer that differs is printed and the exit code is 1; otherwise
 the count of identical answers is printed and the exit code is 0. Exit code
@@ -42,16 +44,21 @@ import tempfile
 from bench_pairs import ROOT, export, git
 
 # (seed, blocks) of gen_random_lsp(seed, blocks=blocks, block_edges=(8, 24),
-# cyclic_prob=0.5, bipartite_prob=0.2): cyclic LSPs of 328-614 edges whose
-# whole-graph path walk still ends within about a second
+# cyclic_prob=0.5, bipartite_prob=0.2): cyclic LSPs of 328-614 edges, small
+# enough that a base revision whose LSP steps walk the whole graph's simple
+# paths (not the reduced core's routes) still ends within seconds
 CYCLIC_LSPS = [(1, 20), (4, 20), (1, 30), (1, 40)]
 CYCLIC_RATIOS = ["1/3", "1/2", "2/3"]
+
+
+def solution(result) -> list:
+    return [sorted(result.edges), result.objective, result.mcps_star]
 
 
 def emit(root: str) -> None:
     """The worker: one JSON line per answer, from the code under `root`."""
     from mcps import (RetentionRatio, is_lsp, parse_edge_list, recognize_dsp, solve_lsp,
-                      to_edge_list)
+                      solve_med, to_edge_list)
     from mcps.generators import gen_random_lsp
     from instances import build
     from workloads import WORKLOADS
@@ -70,23 +77,27 @@ def emit(root: str) -> None:
                         if name == "cli-mixed":
                             answer = list(result[:2])
                         else:
-                            answer = [sorted(result.edges), result.objective, result.mcps_star]
+                            answer = solution(result)
                         print(json.dumps([name, op.label, alpha, answer]), flush=True)
     for index, entry in enumerate(pools["dsp-large"]):
         dump = recognize_dsp(parse_edge_list(build(entry["spec"])[0])).dump()
         print(json.dumps(["dsp-tree", f"dsp-large#{index}", None,
                           hashlib.sha256(dump.encode()).hexdigest()]), flush=True)
+    for index, entry in enumerate(pools["lsp-dag"]):
+        med = solve_med(parse_edge_list(build(entry["spec"])[0]))
+        print(json.dumps(["lsp-med", f"lsp-dag#{index}", "med", solution(med)]), flush=True)
     for seed, blocks in CYCLIC_LSPS:
         text = to_edge_list(gen_random_lsp(seed, blocks=blocks, block_edges=(8, 24),
-                                           cyclic_prob=0.5, bipartite_prob=0.2, check=False))
+                                           cyclic_prob=0.5, bipartite_prob=0.2))
         label = f"gen_random_lsp({seed}, blocks={blocks})"
         verdict = is_lsp(parse_edge_list(text))
         print(json.dumps(["lsp-cyclic", label, None, [verdict.p1_witness, verdict.p2_witness]]),
               flush=True)
         for alpha in CYCLIC_RATIOS:
             result = solve_lsp(parse_edge_list(text), RetentionRatio.parse(alpha))
-            answer = [sorted(result.edges), result.objective, result.mcps_star]
-            print(json.dumps(["lsp-cyclic", label, alpha, answer]), flush=True)
+            print(json.dumps(["lsp-cyclic", label, alpha, solution(result)]), flush=True)
+        med = solve_med(parse_edge_list(text))
+        print(json.dumps(["lsp-cyclic", label, "med", solution(med)]), flush=True)
 
 
 def answers(root: str) -> subprocess.Popen:
