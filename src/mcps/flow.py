@@ -219,6 +219,8 @@ def check_all_pairs(graph: DirectedGraph, edge_set, alpha: RetentionRatio) -> Co
     worst = Fraction(1)
     for s in range(n):
         out_s = graph.out_degree(s)
+        if not out_s:  # reaches nothing
+            continue
         reached = _bfs(net, sub, n, s)
         for t in sorted(graph.reachable_from(s)):
             if t == s:

@@ -25,8 +25,8 @@ from typing import Optional
 
 from .errors import BudgetExceededError, NotLspError
 from .graphs import DirectedGraph, EdgeSet
-from .spdecomp import (NodeStore, _dsp_root, _leaf_edges, _reduce, _reduce_graph,
-                       _terminal_edge_leaves, _vertex_lists)
+from .spdecomp import (LEAF, PARALLEL, NodeStore, _dsp_root, _leaf_edges, _reduce,
+                       _reduce_graph, _vertex_lists)
 
 DEFAULT_PATH_BUDGET = 2_000_000
 
@@ -192,6 +192,16 @@ def _core(graph: DirectedGraph) -> tuple[NodeStore, list, DirectedGraph, list[li
     return graph._cache["core"]
 
 
+def _core_sets(graph: DirectedGraph):
+    """(e, P(u, v) as a mask over core routes) for each edge e = (u, v) whose
+    ends are both left in the core (see `eas_family`)."""
+    core = _core(graph)[2]
+    for e, (u, v) in enumerate(graph.edges):
+        if core.out_degree(u) and core.in_degree(v):
+            reach, row = _pair_row(core, u)
+            yield e, reach & row[v]
+
+
 def eas_family(graph: DirectedGraph) -> tuple[frozenset[int], ...]:
     """Each edge's EAS set P(u, v), indexed by edge, so that its mu-value
     is `len(eas_family(graph)[e])`.
@@ -204,14 +214,14 @@ def eas_family(graph: DirectedGraph) -> tuple[frozenset[int], ...]:
     the leaves of the P node whose first child is e, or e alone.
     """
     if "eas_family" not in graph._cache:
-        nodes, _, core, route_edges = _core(graph)
+        nodes, _, _, route_edges = _core(graph)
         sets = [frozenset((e,)) for e in range(graph.m)]
-        for e, leaves in _terminal_edge_leaves(nodes):
-            sets[e] = frozenset(leaves)
-        for e, (u, v) in enumerate(graph.edges):
-            if core.out_degree(u) and core.in_degree(v):
-                reach, row = _pair_row(core, u)
-                sets[e] = frozenset(x for r in _iter_bits(reach & row[v]) for x in route_edges[r])
+        kind, first = nodes.kind, nodes.first
+        for i, k in enumerate(kind):
+            if k == PARALLEL and kind[first[i]] == LEAF:
+                sets[nodes.edge[first[i]]] = frozenset(_leaf_edges(nodes, i))
+        for e, mask in _core_sets(graph):
+            sets[e] = frozenset(x for r in _iter_bits(mask) for x in route_edges[r])
         graph._cache["eas_family"] = tuple(sets)
     return graph._cache["eas_family"]
 
@@ -221,39 +231,39 @@ def check_p2(graph: DirectedGraph) -> Optional[tuple[int, int]]:
     set S that crosses an earlier one and the first earlier set S crosses, as
     their defining edges (the first edge whose EAS set each one is), sorted.
 
-    One owner scan over the distinct EAS sets of two or more edges, largest
-    first and then by smallest edge, decides it (a singleton crosses
-    nothing): in a laminar family each set nests in the last earlier set
-    that holds its edges, or shares no edge with any earlier set and is then
-    maximal. S is the first set whose edges have two or more owners (no
-    owner counts as one). An edge no set owns is its own EAS set, and
-    maximal. The maximal sets of a laminar family, with their defining
-    edges, are cached ordered by smallest edge: the MEAS blocks
-    `meas_partition` and the LSP solver read.
+    Only core sets can cross (see `eas_family`): every other EAS set is the
+    leaves of a subtree inside one route, so it is inside or disjoint from
+    every other set. One owner scan over the distinct core masks of two or
+    more routes (a one-route set crosses nothing), largest first and then by
+    smallest edge, decides P2 with the witness of a scan over every set: in
+    a laminar family each set nests in the last earlier set that holds its
+    routes, or shares none with any earlier set and is then maximal. S is
+    the first set whose routes have two or more owners (no owner counts as
+    one). The maximal masks, with their defining edges and ordered by
+    smallest edge, are cached: the MEAS blocks the LSP solver contracts.
     """
-    sets = eas_family(graph)
-    distinct: dict[frozenset, int] = {}
-    for e, s in enumerate(sets):
-        if len(s) > 1:
-            distinct.setdefault(s, e)
-    ordered = sorted(distinct, key=lambda s: (-len(s), min(s)))
-    owner: dict[int, int] = {}
-    maximal: list[tuple[int, frozenset[int]]] = []
+    route_edges = _core(graph)[3]
+    distinct: dict[int, int] = {}
+    for e, mask in _core_sets(graph):
+        if mask & (mask - 1):
+            distinct.setdefault(mask, e)
+    key = {s: (-sum(len(route_edges[r]) for r in _iter_bits(s)),
+               min(min(route_edges[r]) for r in _iter_bits(s))) for s in distinct}
+    ordered = sorted(distinct, key=key.__getitem__)
+    owner = [-1] * len(route_edges)
+    maximal: list[tuple[int, int]] = []
     for idx, s in enumerate(ordered):
-        owners = {owner.get(x) for x in s}
+        owners = {owner[r] for r in _iter_bits(s)}
         if len(owners) > 1:
             # an earlier set is at least as large, so s crosses it unless disjoint or inside it
-            crossed = next((t for t in ordered[:idx] if not (t.isdisjoint(s) or s <= t)), None)
+            crossed = next((t for t in ordered[:idx] if s & t not in (0, s)), None)
             assert crossed is not None, "the owner scan failed on a set that crosses none"
             return tuple(sorted((distinct[crossed], distinct[s])))
-        if owners == {None}:
+        if owners == {-1}:
             maximal.append((distinct[s], s))
-        for x in s:
-            owner[x] = idx
-    maximal += [(e, sets[e]) for e in range(graph.m) if e not in owner]
-    # Every edge lies in its own EAS set and the maximal sets are disjoint.
-    assert sum(len(s) for _, s in maximal) == graph.m, "maximal EAS sets do not cover E"
-    maximal.sort(key=lambda block: min(block[1]))
+        for r in _iter_bits(s):
+            owner[r] = idx
+    maximal.sort(key=lambda block: key[block[1]][1])
     graph._cache["meas_blocks"] = maximal
     return None
 
@@ -332,9 +342,10 @@ def is_lsp(graph: DirectedGraph) -> LspVerdict:
     return graph._cache["lsp_verdict"]
 
 
-def _meas_blocks(graph: DirectedGraph) -> list[tuple[int, frozenset[int]]]:
-    """(defining edge, block) for each MEAS block, as `check_p2` cached them.
-    Raises NotLspError (carrying the verdict) when the graph is not an LSP."""
+def _meas_blocks(graph: DirectedGraph) -> list[tuple[int, int]]:
+    """(defining edge, core-route mask) for each MEAS block of two or more
+    routes, as `check_p2` cached them. Raises NotLspError (carrying the
+    verdict) when the graph is not an LSP."""
     verdict = is_lsp(graph)
     if not verdict.is_lsp:
         raise NotLspError(verdict)
@@ -347,9 +358,17 @@ def meas_partition(graph: DirectedGraph) -> list[EdgeSet]:
     These are the independent blocks of the LSP solver: by P1 each one is a
     DSP whose terminals are the endpoints of one of its edges. Ordered by
     smallest contained edge index. Raises NotLspError (carrying the verdict)
-    when the precondition fails.
+    when the precondition fails. The family is laminar then, so a set taken
+    largest first is maximal iff its smallest edge is in no set taken before.
     """
-    return [EdgeSet(block, graph.m) for _, block in _meas_blocks(graph)]
+    _meas_blocks(graph)
+    taken: set[int] = set()
+    blocks = []
+    for s in sorted(set(eas_family(graph)), key=len, reverse=True):
+        if min(s) not in taken:
+            taken.update(s)
+            blocks.append(s)
+    return [EdgeSet(block, graph.m) for block in sorted(blocks, key=min)]
 
 
 def subdivide(graph: DirectedGraph) -> DirectedGraph:

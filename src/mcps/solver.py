@@ -13,7 +13,7 @@ from . import oracle
 from .errors import McpsError, NotDspError
 from .flow import RetentionRatio, check_all_pairs
 from .graphs import DirectedGraph, EdgeSet
-from .lsp import _core, _meas_blocks, is_lsp
+from .lsp import _core, _iter_bits, _meas_blocks, is_lsp
 from .solution import Solution
 from .spdecomp import NodeStore, _contract, _dsp_root, _fold, _vertex_lists, recognize_dsp
 
@@ -42,36 +42,33 @@ def solve_lsp(graph: DirectedGraph, alpha: RetentionRatio) -> Solution:
     By P1 each maximal edge EAS set is a DSP whose terminals are the
     endpoints of its defining edge, the one edge whose EAS set is the whole
     block, and by P2 these sets partition the edge set (the MEAS blocks of
-    `meas_partition`, read with their defining edges from the P2 scan).
-    Every pair's path-induced subgraph lies inside one block, so the blocks
-    are independent: the optimum is the union of the DSP optima of the
-    blocks, and the MED size is the sum of theirs.
+    `meas_partition`). Every pair's path-induced subgraph lies inside one
+    block, so the blocks are independent: the optimum is the union of the
+    DSP optima of the blocks, and the MED size is the sum of theirs.
 
     All blocks are solved in one node store, a copy of the shared one
-    (`_core`, left unmutated), whose routes each lie in one block: a block's
-    routes are its edges' routes. Two or more are contracted further, down
-    to the route of the defining edge (u, v), whose P node gains them after
-    the defining edge's leaf as a reduction of the block alone would, up to
-    how S nodes nest. One `_fold` over the routes left then decides every
-    block, as the fold's S min is associative.
+    (`_core`, left unmutated), whose routes each lie in one block; a route
+    holding whole blocks is left as it is. A block of two or more routes is
+    a core-route mask from the P2 scan, and its routes are contracted
+    further, down to the route of the defining edge (u, v), whose P node
+    gains them after the defining edge's leaf as a reduction of the block
+    alone would, up to how S nodes nest. One `_fold` over the routes left
+    then decides every block, as the fold's S min is associative.
 
     Raises NotLspError (carrying the verdict) on non-LSP input.
     """
     blocks = _meas_blocks(graph)
-    base, routes, core, route_edges = _core(graph)
-    route_of = {e: r for r, edges in enumerate(route_edges) for e in edges}
+    base, routes, core, _ = _core(graph)
     nodes = NodeStore._make(col[:] for col in base)
     lists = _vertex_lists(core)  # one set for every block
     roots = [i for _, _, i in routes]  # each route's tree, or its block's once contracted
-    for defining, block in blocks:
-        block_routes = sorted({route_of[e] for e in block})
-        if len(block_routes) > 1:
-            u, v = graph.edges[defining]
-            left = _contract(nodes, {routes[r][:2]: roots[r] for r in block_routes}, lists)
-            root = _dsp_root(left, u, v)
-            assert root is not None, f"LSP block of edge {defining} is not a DSP on its endpoints"
-            for r in block_routes:
-                roots[r] = root
+    for defining, mask in blocks:
+        block_routes = list(_iter_bits(mask))
+        left = _contract(nodes, {routes[r][:2]: roots[r] for r in block_routes}, lists)
+        root = _dsp_root(left, *graph.edges[defining])
+        assert root is not None, f"LSP block of edge {defining} is not a DSP on its endpoints"
+        for r in block_routes:
+            roots[r] = root
     _, kept, med_size = _fold(nodes, set(roots), alpha)
     return Solution(edges=EdgeSet(kept, graph.m), algorithm="lsp", alpha=alpha,
                     mcps_star=len(kept) - med_size)

@@ -52,7 +52,7 @@ import heapq
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import BudgetExceededError, NotDspError
 from .flow import RetentionRatio
@@ -204,14 +204,6 @@ def _leaf_edges(nodes: NodeStore, i: int) -> list[int]:
     """The host edge ids of the leaves under node i."""
     leaves = len(nodes.edge)  # the leaves are nodes 0 .. leaves - 1
     return [nodes.edge[j] for j in _postorder(nodes, i) if j < leaves]
-
-
-def _terminal_edge_leaves(nodes: NodeStore) -> Iterator[tuple[int, list[int]]]:
-    """(terminal edge id, the node's `_leaf_edges`) for every P node whose
-    first child is the leaf of the edge joining its terminals."""
-    kind, first = nodes.kind, nodes.first
-    return ((nodes.edge[first[i]], _leaf_edges(nodes, i)) for i, k in enumerate(kind)
-            if k == PARALLEL and kind[first[i]] == LEAF)
 
 
 def _fold(nodes: NodeStore, roots: Iterable[int], alpha: RetentionRatio

@@ -18,7 +18,9 @@ simple cycles, the reference for `DirectedGraph.blocks`.
 `med_reference` reads the MED of an LSP off the singleton EAS sets, as
 `mcps.solver.solve_med` did before it folded at alpha = 1/(m+2).
 `check_p2_reference` is the P2 owner scan over every distinct EAS set,
-singletons included, as `mcps.lsp.check_p2` was before it skipped them.
+singletons included, as `mcps.lsp.check_p2` was before it scanned only the
+core sets; `solve_lsp_reference` and the fold tests read their MEAS blocks,
+with defining edges, from it.
 `contract_reference` is the series-parallel reduction on per-vertex dicts
 of routes, as `mcps.spdecomp._contract` was before it kept flat per-vertex
 lists: the contraction tests compare node stores against it.
@@ -293,7 +295,8 @@ def solve_lsp_reference(graph: DirectedGraph, alpha: RetentionRatio) -> Solution
     edges = graph.edges
     chosen: set[int] = set()
     med_size = 0
-    for defining, block in _meas_blocks(graph):
+    _meas_blocks(graph)  # the LSP precondition: raises NotLspError otherwise
+    for defining, block in check_p2_reference(graph)[1]:
         if len(block) == 1:
             chosen.add(defining)
             med_size += 1

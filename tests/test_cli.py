@@ -437,6 +437,21 @@ def test_huge_header_exits_2_before_allocating(capsys, tmp_path):
     assert err.startswith("error: line 1: header vertex count") and err.count("\n") == 1
 
 
+def test_solve_and_check_on_a_large_header_with_three_vertices_used(capsys, tmp_path):
+    path, sol = tmp_path / "g.el", tmp_path / "sol.json"
+    path.write_text("100000 2\n0 1\n1 2\n")
+    code, out, err = run(capsys, "solve", "--input", str(path), "--alpha", "1/2")
+    assert (code, err) == (0, "")
+    # the isolated vertices make it no DSP, but an LSP
+    assert json.loads(out) == {"algorithm": "lsp", "alpha": "1/2", "objective": 2,
+                               "mcps_star": 0, "edges": [[0, 1], [1, 2]]}
+    sol.write_text(out)
+    code, out, err = run(capsys, "check", "--input", str(path), "--solution", str(sol),
+                         "--alpha", "1/2")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["feasible"] is True
+
+
 def test_solve_precondition_exit_3(capsys, w_file):
     code, _, err = run(capsys, "solve", "--input", w_file, "--alpha", "1/2",
                        "--mode", "dsp")

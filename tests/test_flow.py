@@ -146,6 +146,23 @@ def test_check_all_pairs_wplus_med_infeasible():
     assert report.worst_ratio == Fraction(1, 3)
 
 
+def test_check_all_pairs_runs_no_bfs_from_a_source_that_reaches_nothing(monkeypatch):
+    # a BFS allocates an n-entry list, so one per isolated vertex of a large
+    # header would make the check quadratic in n
+    import mcps.flow as flow_mod
+    sources = []
+    real = flow_mod._bfs
+
+    def counting(*args):
+        sources.append(args[3])
+        return real(*args)
+
+    monkeypatch.setattr(flow_mod, "_bfs", counting)
+    path = DirectedGraph(50, [(0, 1), (1, 2)])
+    assert check_all_pairs(path, EdgeSet.full(path), RetentionRatio(1, 2)).feasible
+    assert sources == [0, 1]
+
+
 def test_check_all_pairs_full_cycle():
     c5 = fixtures()["C5"]
     report = check_all_pairs(c5, EdgeSet.full(c5), RetentionRatio(3, 4))

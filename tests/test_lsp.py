@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -17,7 +18,7 @@ from mcps.spdecomp import _leaf_edges, _reduce_graph, _vertex_lists
 from mcps.generators import fixtures, gen_random_dsp, gen_random_lsp
 
 from path_reference import check_p2_reference, enumerate_simple_path_edges, per_pair_path_induced
-from strategies import digraphs, dsp_graphs, lsp_graphs
+from strategies import digraphs, dsp_graphs, lsp_graphs, near_miss_dsps
 
 DAG3 = DirectedGraph(3, [(0, 1), (1, 2), (0, 2)])
 
@@ -663,14 +664,19 @@ def test_each_meas_block_has_one_defining_edge_and_solve_lsp_reduces_on_it(
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(digraphs(max_n=6, max_m=10), lsp_graphs(max_blocks=4, block_hi=8)))
+@given(st.one_of(digraphs(max_n=6, max_m=10), lsp_graphs(max_blocks=4, block_hi=8),
+                 near_miss_dsps(), lsp_graphs(max_blocks=12, block_hi=12)))
 def test_check_p2_matches_the_owner_scan_over_every_set(g):
-    # singletons cross nothing: skipping them keeps the witness and the
-    # MEAS blocks the scan over every distinct EAS set gives
+    # singletons and sets inside one route cross nothing: a scan over the
+    # core sets alone keeps the witness the scan over every distinct EAS set
+    # gives, and meas_partition its blocks
     witness, blocks = check_p2_reference(DirectedGraph(g.n, g.edges))
     assert check_p2(g) == witness
-    if witness is None:
-        assert g._cache["meas_blocks"] == blocks
+    if is_lsp(g).is_lsp:
+        assert [p.sorted() for p in meas_partition(g)] == [sorted(block) for _, block in blocks]
+    else:
+        with pytest.raises(NotLspError):
+            meas_partition(g)
 
 
 def test_subdivide():
@@ -831,3 +837,53 @@ def test_core_over_the_mask_cap_names_the_core_and_the_input(monkeypatch, tmp_pa
         assert cli.main(argv) == 4
         out = capsys.readouterr()
         assert out.out == "" and out.err == f"budget exceeded: {message}\n"
+
+
+def _nested_dsp(k: int) -> DirectedGraph:
+    # edges (i, i+1) for i < k and (i, k) for i < k-1: terminal-edge P nodes
+    # nest k deep, and their EAS sets hold about k^2 / 2 edges in all
+    return DirectedGraph(k + 1, [(i, i + 1) for i in range(k)] + [(i, k) for i in range(k - 1)])
+
+
+def test_is_lsp_on_a_nested_dsp_allocates_by_the_core_not_the_eas_family():
+    g = _nested_dsp(4_000)
+    tracemalloc.start()
+    try:
+        verdict = is_lsp(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.is_lsp
+    assert "eas_family" not in g._cache
+    assert peak < 16_000_000, peak
+
+
+def _refuse_eas_family(graph):
+    raise AssertionError("an LSP step built the per-edge EAS family")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(lsp_graphs(max_blocks=6, block_hi=10), near_miss_dsps(lo=10, hi=40)))
+def test_no_lsp_step_builds_the_eas_family(g):
+    # P2, the MEAS blocks and the LSP solver read core-route masks only
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lsp_mod, "eas_family", _refuse_eas_family)
+        if is_lsp(g).is_lsp:
+            solve_lsp(g, RetentionRatio(1, 2))
+            solve_med(g)
+
+
+@pytest.mark.parametrize("name", sorted(fixtures()))
+def test_no_command_builds_the_eas_family(monkeypatch, tmp_path, capsys, name):
+    # the refusal's AssertionError is no error `cli.main` turns into an exit code
+    monkeypatch.setattr(lsp_mod, "eas_family", _refuse_eas_family)
+    graph_path, sol_path = tmp_path / "g.el", tmp_path / "sol.json"
+    graph_path.write_text(to_edge_list(fixtures()[name]))
+    cli.main(["solve", "--input", str(graph_path), "--alpha", "1/2"])
+    sol_path.write_text(capsys.readouterr().out)
+    for argv in (["check", "--input", str(graph_path), "--solution", str(sol_path),
+                  "--alpha", "1/2"],
+                 ["recognize", "--input", str(graph_path)],
+                 ["med", "--input", str(graph_path)],
+                 ["stats", "--input", str(graph_path)]):
+        cli.main(argv)

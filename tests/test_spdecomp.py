@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 from mcps import (DirectedGraph, NotDspError, RetentionRatio, max_flow_value, path_induced,
                   recognize_dsp)
 from mcps.generators import fixtures, gen_random_dsp
-from mcps.lsp import _meas_blocks
 from mcps.spdecomp import (LEAF, PARALLEL, SERIES, DecompositionTree, NodeStore, _dsp_root,
                            _contract, _fold, _leaves, _reduce, _reduce_graph, _vertex_lists)
 
-from path_reference import contract_reference, fold_reference
+from path_reference import check_p2_reference, contract_reference, fold_reference
 from strategies import digraphs, dsp_graphs, lsp_graphs
 
 ALPHAS = [RetentionRatio(1, 3), RetentionRatio(1, 2), RetentionRatio(2, 3), RetentionRatio(3, 4)]
@@ -209,7 +208,7 @@ def test_fold_matches_the_postorder_reference_on_dsps(g):
 @given(lsp_graphs(max_blocks=4, block_hi=10))
 def test_fold_matches_the_postorder_reference_on_lsp_blocks(g):
     # each MEAS block reduced and rooted as `solve_lsp` does it
-    for defining, block in _meas_blocks(g):
+    for defining, block in check_p2_reference(g)[1]:
         nodes, remaining = _reduce(((e, *g.edges[e]) for e in sorted(block)), _vertex_lists(g))
         root = _dsp_root(remaining, *g.edges[defining])
         _assert_fold_matches_reference(nodes, root)

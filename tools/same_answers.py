@@ -20,10 +20,12 @@ it stands. Each side runs this script's worker against its own `src/` and
 - lsp-dag, once per instance: the `solve_med` answer on a fresh parse, as
   the workload itself calls only `solve_lsp`.
 
-No benchmark instance has a cyclic LSP above ~150 edges, so the worker also
-reports, for each cyclic `gen_random_lsp` instance of CYCLIC_LSPS (328-614
-edges), the `is_lsp` witnesses, the `solve_lsp` answer at each of
-CYCLIC_RATIOS and the `solve_med` answer, each on a fresh parse.
+No benchmark instance has a cyclic LSP above ~150 edges, and none nests
+its EAS sets deeply, so the worker also reports, for each cyclic
+`gen_random_lsp` instance of CYCLIC_LSPS (328-614 edges) and each nested
+DSP of NESTED_DSPS (999 and 1,999 edges), the `is_lsp` witnesses, the
+`meas_partition` blocks, the `solve_lsp` answer at each of CYCLIC_RATIOS
+and the `solve_med` answer, each on a fresh parse.
 
 The first answer that differs is printed and the exit code is 1; otherwise
 the count of identical answers is printed and the exit code is 0. Exit code
@@ -49,6 +51,9 @@ from bench_pairs import ROOT, export, git
 # paths (not the reduced core's routes) still ends within seconds
 CYCLIC_LSPS = [(1, 20), (4, 20), (1, 30), (1, 40)]
 CYCLIC_RATIOS = ["1/3", "1/2", "2/3"]
+# k of the DSP with edges (i, i+1) for i < k and (i, k) for i < k-1, whose
+# terminal-edge P nodes nest k deep
+NESTED_DSPS = [500, 1_000]
 
 
 def solution(result) -> list:
@@ -57,8 +62,8 @@ def solution(result) -> list:
 
 def emit(root: str) -> None:
     """The worker: one JSON line per answer, from the code under `root`."""
-    from mcps import (RetentionRatio, is_lsp, parse_edge_list, recognize_dsp, solve_lsp,
-                      solve_med, to_edge_list)
+    from mcps import (DirectedGraph, RetentionRatio, is_lsp, meas_partition, parse_edge_list,
+                      recognize_dsp, solve_lsp, solve_med, to_edge_list)
     from mcps.generators import gen_random_lsp
     from instances import build
     from workloads import WORKLOADS
@@ -86,18 +91,26 @@ def emit(root: str) -> None:
     for index, entry in enumerate(pools["lsp-dag"]):
         med = solve_med(parse_edge_list(build(entry["spec"])[0]))
         print(json.dumps(["lsp-med", f"lsp-dag#{index}", "med", solution(med)]), flush=True)
-    for seed, blocks in CYCLIC_LSPS:
-        text = to_edge_list(gen_random_lsp(seed, blocks=blocks, block_edges=(8, 24),
-                                           cyclic_prob=0.5, bipartite_prob=0.2))
-        label = f"gen_random_lsp({seed}, blocks={blocks})"
+    instances = [("lsp-cyclic", f"gen_random_lsp({seed}, blocks={blocks})",
+                  gen_random_lsp(seed, blocks=blocks, block_edges=(8, 24),
+                                 cyclic_prob=0.5, bipartite_prob=0.2))
+                 for seed, blocks in CYCLIC_LSPS]
+    instances += [("lsp-nested", f"nested DSP k={k}",
+                   DirectedGraph(k + 1, [(i, i + 1) for i in range(k)]
+                                 + [(i, k) for i in range(k - 1)]))
+                  for k in NESTED_DSPS]
+    for name, label, graph in instances:
+        text = to_edge_list(graph)
         verdict = is_lsp(parse_edge_list(text))
-        print(json.dumps(["lsp-cyclic", label, None, [verdict.p1_witness, verdict.p2_witness]]),
+        print(json.dumps([name, label, None, [verdict.p1_witness, verdict.p2_witness]]),
               flush=True)
+        blocks = [block.sorted() for block in meas_partition(parse_edge_list(text))]
+        print(json.dumps([name, label, "meas", blocks]), flush=True)
         for alpha in CYCLIC_RATIOS:
             result = solve_lsp(parse_edge_list(text), RetentionRatio.parse(alpha))
-            print(json.dumps(["lsp-cyclic", label, alpha, solution(result)]), flush=True)
+            print(json.dumps([name, label, alpha, solution(result)]), flush=True)
         med = solve_med(parse_edge_list(text))
-        print(json.dumps(["lsp-cyclic", label, "med", solution(med)]), flush=True)
+        print(json.dumps([name, label, "med", solution(med)]), flush=True)
 
 
 def answers(root: str) -> subprocess.Popen:
@@ -117,6 +130,10 @@ def first_difference(base: list[str], change: list[str]) -> str | None:
                 return f"{name} {label}: base tree sha256 {want}, change {got}"
             if alpha is None:
                 return f"{name} {label}: base (p1_witness, p2_witness) {want!r}, change {got!r}"
+            if alpha == "meas":
+                pairs = [(b, c) for b, c in zip(want, got) if b != c]
+                return (f"{name} {label}: {len(want)} base MEAS blocks, {len(got)} change "
+                        f"blocks; first (base, change) pair that differs {pairs[:1]!r}")
             diff = sorted(set(want[0]) ^ set(got[0]))
             edge = f"edge {diff[0]} is kept by one side only; " if diff else ""
             return (f"{name} {label} at {alpha}: {edge}base (objective, mcps_star) "
